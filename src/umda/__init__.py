@@ -8,20 +8,11 @@ core          generation loop, selection, frequency update, run driver
 telemetry     per-generation sampling variance / potential / border hits
 levels        ranking by all-but-one bits: cut level, candidates, classes
 oracles       exact Poisson-binomial and capped-binomial computations
-experiments   sweeps, scaling studies, phase probes, CSV emission
+experiments   batch driver, sweeps, scaling studies, phase probes, CSV emission
 verification  oracle-backed check suite behind the `verify` CLI subcommand
 """
 
-from .bitmodel import (
-    FrequencyVector,
-    Individual,
-    Population,
-    all_ones,
-    onemax,
-    onemax_target,
-    sample_individual,
-    sample_population,
-)
+from .bitmodel import FrequencyVector, Population, onemax, sample_population
 from .core import (
     RunResult,
     UmdaConfig,
@@ -36,18 +27,14 @@ from .telemetry import GenerationStats, RunTelemetry, potential, sampling_varian
 __all__ = [
     "FrequencyVector",
     "GenerationStats",
-    "Individual",
     "Pcg32",
     "Population",
     "RunResult",
     "RunTelemetry",
     "UmdaConfig",
-    "all_ones",
     "onemax",
-    "onemax_target",
     "potential",
     "run",
-    "sample_individual",
     "sample_population",
     "sampling_variance",
     "select_mu_best",

@@ -15,28 +15,9 @@ import numpy as np
 from .rng import Pcg32, TWO_POW_32
 
 
-def all_ones(n: int) -> np.ndarray:
-    """The default optimization target: the all-ones string."""
-    return np.ones(n, dtype=bool)
-
-
 def onemax(x) -> int:
     """Number of 1-bits in x."""
     return int(np.count_nonzero(np.asarray(x)))
-
-
-def onemax_target(x, target) -> int:
-    """Generalized OneMax: n minus the Hamming distance to ``target``.
-
-    With the all-ones target this reduces to plain ``onemax``.
-    """
-    x = np.asarray(x, dtype=bool)
-    target = np.asarray(target, dtype=bool)
-    if x.shape != target.shape:
-        raise ValueError(
-            f"length mismatch: bits {x.shape} vs target {target.shape}"
-        )
-    return int(np.count_nonzero(x == target))
 
 
 @dataclass(frozen=True)
@@ -79,14 +60,6 @@ class FrequencyVector:
 
 
 @dataclass(frozen=True)
-class Individual:
-    """A sampled bit string with its fitness cached at construction."""
-
-    bits: np.ndarray
-    fitness: int
-
-
-@dataclass(frozen=True)
 class Population:
     """Offspring of one generation: bit matrix plus cached fitness vector."""
 
@@ -105,18 +78,7 @@ class Population:
         return self.bits.shape[1]
 
 
-def _fitness_matrix(bits: np.ndarray, target: np.ndarray | None) -> np.ndarray:
-    if target is None:
-        return bits.sum(axis=1, dtype=np.int64)
-    return (bits == np.asarray(target, dtype=bool)).sum(axis=1, dtype=np.int64)
-
-
-def sample_population(
-    p: FrequencyVector,
-    lam: int,
-    rng: Pcg32,
-    target: np.ndarray | None = None,
-) -> Population:
+def sample_population(p: FrequencyVector, lam: int, rng: Pcg32) -> Population:
     """Sample ``lam`` independent individuals from the product distribution.
 
     Bit (j, i) is 1 iff draw u_{j*n+i} / 2^32 < p_i, consuming lam*n
@@ -126,14 +88,4 @@ def sample_population(
         raise ValueError(f"population size must be >= 1, got {lam}")
     u = rng.next_u32_block(lam * p.n).reshape(lam, p.n)
     bits = u < p.values * TWO_POW_32
-    return Population(bits=bits, fitness=_fitness_matrix(bits, target))
-
-
-def sample_individual(
-    p: FrequencyVector,
-    rng: Pcg32,
-    target: np.ndarray | None = None,
-) -> Individual:
-    """Sample a single individual; its 1-count is Poisson-binomial(p)."""
-    pop = sample_population(p, 1, rng, target)
-    return Individual(bits=pop.bits[0], fitness=int(pop.fitness[0]))
+    return Population(bits=bits, fitness=bits.sum(axis=1, dtype=np.int64))

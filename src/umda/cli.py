@@ -19,6 +19,7 @@ from .experiments import (
     run_scaling_study,
     run_sweep,
     sweep_config_from_mapping,
+    write_lines,
 )
 from .verification import run_all_checks
 
@@ -107,12 +108,7 @@ def _cmd_sweep(args) -> int:
         print(f"wrote {len(rows)} rows to {path}")
     else:
         for row in rows:
-            print(
-                f"{row.lam};{format_decimal(row.avg_evaluations)};"
-                f"{format_decimal(row.avg_lower_border_hits)};"
-                f"{format_decimal(row.success_fraction)};"
-                f"{format_decimal(row.avg_generations)}"
-            )
+            print(row.line())
     return EXIT_OK
 
 
@@ -145,17 +141,7 @@ def _cmd_scaling(args) -> int:
     )
     _print_scaling(result)
     if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            for row in result.rows:
-                cells = [
-                    str(row.n),
-                    str(row.mu),
-                    str(row.lam),
-                    format_decimal(row.median_generations),
-                    format_decimal(row.median_evaluations),
-                    format_decimal(row.success_fraction),
-                ]
-                fh.write(";".join(cells) + "\n")
+        write_lines(args.out, [row.line() for row in result.rows])
     return EXIT_OK
 
 
@@ -203,7 +189,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -5,8 +5,8 @@ mu fittest (ties broken uniformly at random via fresh 64-bit keys), set each
 frequency to the relative occurrence of 1s among the kept individuals, and
 cap into [1/n, 1 - 1/n] when borders are on.  Without borders (the UMDA*
 variant) a frequency that reaches 0 or 1 can never change again; a run is
-declared stagnated as soon as some frequency is absorbed at the value that
-makes the optimum unsampleable.
+declared stagnated as soon as some frequency is absorbed at 0, which makes
+the all-ones optimum unsampleable.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .bitmodel import FrequencyVector, Population, sample_population
 from .rng import Pcg32
-from .telemetry import GenerationStats, RunTelemetry, record_generation
+from .telemetry import RunTelemetry, record_generation
 
 Verdict = Literal["optimum_found", "stagnated", "budget_exhausted"]
 
@@ -35,7 +35,6 @@ class UmdaConfig:
     mu: int
     lam: int
     borders: bool = True
-    target: np.ndarray | None = None  # None means the all-ones string
     max_generations: int | None = None
     master_seed: int = 0
     run_index: int = 0
@@ -50,11 +49,6 @@ class UmdaConfig:
             raise ValueError(f"need n >= 1, got {self.n}")
         if self.borders and self.n < 2:
             raise ValueError("borders [1/n, 1 - 1/n] need n >= 2")
-        if self.target is not None:
-            target = np.asarray(self.target, dtype=bool)
-            if target.shape != (self.n,):
-                raise ValueError(f"target length {target.shape} != n={self.n}")
-            self.target = target
 
     @property
     def budget(self) -> int:
@@ -73,9 +67,9 @@ class UpdateResult(NamedTuple):
 
 
 class StepResult(NamedTuple):
-    frequencies: FrequencyVector
-    population: Population
-    stats: GenerationStats
+    population: Population  # the lambda sampled offspring
+    selected: Population    # the mu kept for the update
+    update: UpdateResult
 
 
 @dataclass
@@ -124,21 +118,16 @@ def update_frequencies(
     return UpdateResult(FrequencyVector(values, borders, n), lower_hits, upper_hits)
 
 
-def step(p: FrequencyVector, cfg: UmdaConfig, rng: Pcg32, t: int = 0) -> StepResult:
-    """One full generation: sample, select, update, record."""
-    pop = sample_population(p, cfg.lam, rng, cfg.target)
-    selected = select_mu_best(pop, cfg.mu, rng)
-    upd = update_frequencies(selected, cfg.mu, cfg.borders, cfg.n)
-    stats = record_generation(upd.frequencies, upd.lower_hits, upd.upper_hits, pop, t)
-    return StepResult(upd.frequencies, pop, stats)
+def step(p: FrequencyVector, mu: int, lam: int, rng: Pcg32) -> StepResult:
+    """One generation from ``p``: sample lam offspring, keep the mu best, and
+    update the frequencies, with the borders and n of ``p``.
 
-
-def _wrong_absorption(p: FrequencyVector, target: np.ndarray | None) -> bool:
-    """True when some frequency is fixed at the value opposite its target bit."""
-    v = p.values
-    if target is None:
-        return bool(np.any(v == 0.0))
-    return bool(np.any((v == 0.0) & target) or np.any((v == 1.0) & ~target))
+    This is the only place the three stages are chained; the run loop, the
+    level decomposition and the one-step oracles all go through it.
+    """
+    pop = sample_population(p, lam, rng)
+    selected = select_mu_best(pop, mu, rng)
+    return StepResult(pop, selected, update_frequencies(selected, mu, p.borders, p.n))
 
 
 def run(cfg: UmdaConfig) -> RunResult:
@@ -157,9 +146,7 @@ def run(cfg: UmdaConfig) -> RunResult:
     verdict: Verdict = "budget_exhausted"
     t = 0
     for t in range(1, cfg.budget + 1):
-        pop = sample_population(p, cfg.lam, rng, cfg.target)
-        selected = select_mu_best(pop, cfg.mu, rng)
-        upd = update_frequencies(selected, cfg.mu, cfg.borders, cfg.n)
+        pop, _, upd = step(p, cfg.mu, cfg.lam, rng)
         p = upd.frequencies
         telemetry.total_lower_border_hits += int(np.count_nonzero(upd.lower_hits))
         telemetry.total_upper_border_hits += int(np.count_nonzero(upd.upper_hits))
@@ -172,7 +159,7 @@ def run(cfg: UmdaConfig) -> RunResult:
         if int(pop.fitness.max()) == cfg.n:
             verdict = "optimum_found"
             break
-        if not cfg.borders and _wrong_absorption(p, cfg.target):
+        if not cfg.borders and np.any(p.values == 0.0):
             verdict = "stagnated"
             break
     return RunResult(

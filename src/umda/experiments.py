@@ -2,10 +2,11 @@
 
 Output files are semicolon-separated with a fixed column layout (lambda,
 average evaluations, average lower-border hits, success fraction, average
-generations); decimals carry 6 significant digits in fixed notation.  Runs
-are dispatched to a worker pool, but per-run streams are derived from
-(master seed, setting, run index) and aggregation folds results in run-index
-order, so results never depend on scheduling.
+generations); decimals carry 6 significant digits in fixed notation.  Every
+experiment hands its runs to ``run_batch``, which dispatches them to a
+worker pool; per-run streams are derived from (master seed, setting, run
+index) and results come back in run-index order, so they never depend on
+scheduling.
 """
 
 from __future__ import annotations
@@ -13,13 +14,15 @@ from __future__ import annotations
 import ast
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass
 from decimal import Decimal
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import UmdaConfig, run
+from .telemetry import RunTelemetry
 
 
 # ---------------------------------------------------------------------------
@@ -38,6 +41,19 @@ def format_decimal(x: float) -> str:
     return s
 
 
+def format_row(head, decimals) -> str:
+    """One output line: the ``head`` cells verbatim, then each of ``decimals``
+    through format_decimal, all separated by semicolons."""
+    return ";".join([str(c) for c in head] + [format_decimal(x) for x in decimals])
+
+
+def write_lines(path: str, lines) -> None:
+    """Write each line with a "\\n" terminator, whatever the platform."""
+    with open(path, "w", newline="\n") as fh:
+        for line in lines:
+            fh.write(line + "\n")
+
+
 @dataclass(frozen=True)
 class SweepRow:
     """Aggregated outcome for one lambda; averages cover successful runs."""
@@ -47,6 +63,13 @@ class SweepRow:
     avg_lower_border_hits: float
     success_fraction: float
     avg_generations: float
+
+    def line(self) -> str:
+        return format_row(
+            [self.lam],
+            [self.avg_evaluations, self.avg_lower_border_hits,
+             self.success_fraction, self.avg_generations],
+        )
 
 
 CSV_COLUMNS = (
@@ -60,18 +83,17 @@ CSV_COLUMNS = (
 
 def emit_csv(rows, path: str, header: bool = False) -> None:
     """Write sweep rows as semicolon-separated lines, column 0 = lambda."""
-    with open(path, "w", newline="\n") as fh:
-        if header:
-            fh.write(";".join(CSV_COLUMNS) + "\n")
-        for row in rows:
-            cells = [
-                str(row.lam),
-                format_decimal(row.avg_evaluations),
-                format_decimal(row.avg_lower_border_hits),
-                format_decimal(row.success_fraction),
-                format_decimal(row.avg_generations),
-            ]
-            fh.write(";".join(cells) + "\n")
+    head = [";".join(CSV_COLUMNS)] if header else []
+    write_lines(path, head + [row.line() for row in rows])
+
+
+def export_trajectory(telemetry: RunTelemetry, path: str) -> None:
+    """Write captured frequency snapshots as semicolon-separated rows.
+
+    Each row is the generation index followed by the n frequencies, printed
+    with 6 significant digits.
+    """
+    write_lines(path, [format_row([t], values) for t, values in telemetry.trajectory])
 
 
 def parse_csv(path: str) -> list[SweepRow]:
@@ -171,8 +193,11 @@ def derive_stream(setting: int, run_index: int) -> int:
     """Stream id for (swept setting, run index): injective, order-stable.
 
     Adding settings to a sweep or appending runs never perturbs the streams
-    of existing runs.
+    of existing runs.  The setting is limited to 31 bits because Pcg32 uses
+    (stream << 1) | 1 as its 64-bit increment, which drops bit 63.
     """
+    if not 0 <= setting < 1 << 31:
+        raise ValueError(f"setting must be in [0, 2**31), got {setting}")
     if not 0 <= run_index < 1 << 32:
         raise ValueError("run_index must fit in 32 bits")
     return (setting << 32) | run_index
@@ -218,24 +243,52 @@ class SweepConfig:
         return int_rule(self.mu_rule, lam=lam, n=self.n)
 
 
-def _run_summary(cfg: UmdaConfig) -> tuple[str, int, int, int, int]:
+class RunSummary(NamedTuple):
+    verdict: str
+    generations: int
+    evaluations: int
+    lower_border_hits: int
+
+
+def _run_summary(cfg: UmdaConfig) -> RunSummary:
     result = run(cfg)
-    return (
+    return RunSummary(
         result.verdict,
         result.generations,
         result.evaluations,
         result.telemetry.total_lower_border_hits,
-        result.telemetry.total_upper_border_hits,
     )
 
 
-def _execute(configs: list[UmdaConfig], threads: int | None):
+def run_batch(
+    settings, runs: int, master_seed: int, threads: int | None, **shared
+) -> list[list[RunSummary]]:
+    """``runs`` telemetry-free runs per (setting, params) pair, on one pool.
+
+    Run k of a setting takes its config fields from ``shared`` and
+    ``params`` and draws from stream derive_stream(setting, k).  The
+    summaries come back split by setting, in the order of ``settings`` and,
+    within each, in run-index order.
+    """
+    configs = [
+        UmdaConfig(
+            **shared,
+            **params,
+            master_seed=master_seed,
+            run_index=derive_stream(setting, k),
+            record_telemetry=False,
+        )
+        for setting, params in settings
+        for k in range(runs)
+    ]
     threads = threads if threads is not None else (os.cpu_count() or 1)
     if threads <= 1 or len(configs) <= 1:
-        return [_run_summary(cfg) for cfg in configs]
-    chunk = max(1, len(configs) // (8 * threads))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(_run_summary, configs, chunksize=chunk))
+        summaries = [_run_summary(cfg) for cfg in configs]
+    else:
+        chunk = max(1, len(configs) // (8 * threads))
+        with futures.ProcessPoolExecutor(max_workers=threads) as pool:
+            summaries = list(pool.map(_run_summary, configs, chunksize=chunk))
+    return [summaries[k * runs : (k + 1) * runs] for k in range(len(settings))]
 
 
 def _mean_over(values, mask) -> float:
@@ -250,35 +303,26 @@ def run_sweep(cfg: SweepConfig, threads: int | None = None) -> list[SweepRow]:
     stagnated in borderless mode) are excluded from the averages and show up
     in success_fraction instead.
     """
-    configs = []
-    for lam in cfg.lambdas():
-        mu = cfg.mu_for(lam)
-        for k in range(cfg.runs_per_setting):
-            configs.append(
-                UmdaConfig(
-                    n=cfg.n,
-                    mu=mu,
-                    lam=lam,
-                    borders=cfg.borders,
-                    max_generations=cfg.max_generations,
-                    master_seed=cfg.master_seed,
-                    run_index=derive_stream(lam, k),
-                    record_telemetry=False,
-                )
-            )
-    summaries = _execute(configs, threads)
+    lambdas = cfg.lambdas()
+    batches = run_batch(
+        [(lam, {"mu": cfg.mu_for(lam), "lam": lam}) for lam in lambdas],
+        cfg.runs_per_setting,
+        cfg.master_seed,
+        threads,
+        n=cfg.n,
+        borders=cfg.borders,
+        max_generations=cfg.max_generations,
+    )
     rows = []
-    per = cfg.runs_per_setting
-    for i, lam in enumerate(cfg.lambdas()):
-        batch = summaries[i * per : (i + 1) * per]
-        ok = [s[0] == "optimum_found" for s in batch]
+    for lam, batch in zip(lambdas, batches):
+        ok = [s.verdict == "optimum_found" for s in batch]
         rows.append(
             SweepRow(
                 lam=lam,
-                avg_evaluations=_mean_over([s[2] for s in batch], ok),
-                avg_lower_border_hits=_mean_over([s[3] for s in batch], ok),
+                avg_evaluations=_mean_over([s.evaluations for s in batch], ok),
+                avg_lower_border_hits=_mean_over([s.lower_border_hits for s in batch], ok),
                 success_fraction=float(np.mean(ok)),
-                avg_generations=_mean_over([s[1] for s in batch], ok),
+                avg_generations=_mean_over([s.generations for s in batch], ok),
             )
         )
     return rows
@@ -297,6 +341,12 @@ class ScalingRow:
     success_fraction: float
     median_generations: float
     median_evaluations: float
+
+    def line(self) -> str:
+        return format_row(
+            [self.n, self.mu, self.lam],
+            [self.median_generations, self.median_evaluations, self.success_fraction],
+        )
 
 
 @dataclass(frozen=True)
@@ -321,32 +371,23 @@ def run_scaling_study(
     n_values = list(n_values)
     if sorted(n_values) != n_values:
         raise ValueError("n_values must be monotone increasing")
-    rows = []
+    settings = []
     for n in n_values:
         mu = int_rule(mu_rule, n=n)
-        lam = int_rule(lambda_rule, n=n, mu=mu)
-        configs = [
-            UmdaConfig(
-                n=n,
-                mu=mu,
-                lam=lam,
-                borders=borders,
-                max_generations=max_generations,
-                master_seed=master_seed,
-                run_index=derive_stream(n, k),
-                record_telemetry=False,
-            )
-            for k in range(runs)
-        ]
-        summaries = _execute(configs, threads)
-        ok = [s[0] == "optimum_found" for s in summaries]
-        gens = [s[1] for s, good in zip(summaries, ok) if good]
-        evals = [s[2] for s, good in zip(summaries, ok) if good]
+        settings.append((n, {"n": n, "mu": mu, "lam": int_rule(lambda_rule, n=n, mu=mu)}))
+    batches = run_batch(
+        settings, runs, master_seed, threads, borders=borders, max_generations=max_generations
+    )
+    rows = []
+    for (n, params), batch in zip(settings, batches):
+        ok = [s.verdict == "optimum_found" for s in batch]
+        gens = [s.generations for s, good in zip(batch, ok) if good]
+        evals = [s.evaluations for s, good in zip(batch, ok) if good]
         rows.append(
             ScalingRow(
                 n=n,
-                mu=mu,
-                lam=lam,
+                mu=params["mu"],
+                lam=params["lam"],
                 runs=runs,
                 success_fraction=float(np.mean(ok)),
                 median_generations=float(np.median(gens)) if gens else float("nan"),
@@ -380,41 +421,6 @@ class PhaseOutcome:
     budget_fraction: float
 
 
-def _probe_one(
-    n: int,
-    mu: int,
-    runs: int,
-    master_seed: int,
-    max_generations: int | None,
-    threads: int | None,
-    lambda_rule: str,
-) -> PhaseOutcome:
-    lam = int_rule(lambda_rule, n=n, mu=mu)
-    configs = [
-        UmdaConfig(
-            n=n,
-            mu=mu,
-            lam=lam,
-            borders=False,
-            max_generations=max_generations,
-            master_seed=master_seed,
-            run_index=derive_stream(mu, k),
-            record_telemetry=False,
-        )
-        for k in range(runs)
-    ]
-    summaries = _execute(configs, threads)
-    verdicts = [s[0] for s in summaries]
-    return PhaseOutcome(
-        mu=mu,
-        lam=lam,
-        runs=runs,
-        stagnated_fraction=verdicts.count("stagnated") / runs,
-        success_fraction=verdicts.count("optimum_found") / runs,
-        budget_fraction=verdicts.count("budget_exhausted") / runs,
-    )
-
-
 def run_phase_transition_probe(
     n: int,
     mu_small: int,
@@ -432,8 +438,29 @@ def run_phase_transition_probe(
     """
     if not mu_small < mu_large:
         raise ValueError("need mu_small < mu_large")
-    args = (runs, master_seed, max_generations, threads, lambda_rule)
-    return _probe_one(n, mu_small, *args), _probe_one(n, mu_large, *args)
+    settings = [
+        (mu, {"mu": mu, "lam": int_rule(lambda_rule, n=n, mu=mu)})
+        for mu in (mu_small, mu_large)
+    ]
+    batches = run_batch(
+        settings, runs, master_seed, threads,
+        n=n, borders=False, max_generations=max_generations,
+    )
+    outcomes = []
+    for (mu, params), batch in zip(settings, batches):
+        verdicts = [s.verdict for s in batch]
+        outcomes.append(
+            PhaseOutcome(
+                mu=mu,
+                lam=params["lam"],
+                runs=runs,
+                stagnated_fraction=verdicts.count("stagnated") / runs,
+                success_fraction=verdicts.count("optimum_found") / runs,
+                budget_fraction=verdicts.count("budget_exhausted") / runs,
+            )
+        )
+    small, large = outcomes
+    return small, large
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitmodel import FrequencyVector, Population, sample_population
-from .core import select_mu_best
+from .core import step
 from .rng import Pcg32
 
 
@@ -46,23 +46,14 @@ class LevelDecomposition:
     degenerate: bool
 
 
-def decompose(
-    pop: Population,
-    mu: int,
-    focal_bit: int,
-    target: np.ndarray | None = None,
-) -> LevelDecomposition:
+def decompose(pop: Population, mu: int, focal_bit: int) -> LevelDecomposition:
     """Rank ``pop`` by fitness-without-the-focal-bit and locate the cut."""
     lam, n = pop.bits.shape
     if lam <= mu:
         raise ValueError(f"need lambda > mu, got lambda={lam} mu={mu}")
     if n < 2:
         raise ValueError("decomposition needs n >= 2")
-    if target is None:
-        focal_match = pop.bits[:, focal_bit]
-    else:
-        focal_match = pop.bits[:, focal_bit] == bool(target[focal_bit])
-    levels = pop.fitness - focal_match
+    levels = pop.fitness - pop.bits[:, focal_bit]
     level_counts = np.bincount(levels, minlength=n)
     at_or_above = np.cumsum(level_counts[::-1])[::-1]
     # cut = max{i : at_or_above[i-1] > mu}, capped at the top level n-1
@@ -91,7 +82,6 @@ def second_class_count_distribution(
     focal_bit: int,
     trials: int,
     rng: Pcg32,
-    target: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo sample of (open_slots, surplus_candidates) pairs.
 
@@ -103,8 +93,7 @@ def second_class_count_distribution(
     open_slots = np.empty(trials, dtype=np.int64)
     surplus = np.empty(trials, dtype=np.int64)
     for i in range(trials):
-        pop = sample_population(p, lam, rng, target)
-        dec = decompose(pop, mu, focal_bit, target)
+        dec = decompose(sample_population(p, lam, rng), mu, focal_bit)
         open_slots[i] = dec.open_slots
         surplus[i] = dec.surplus_candidates
     return open_slots, surplus
@@ -117,17 +106,14 @@ def focal_one_counts(
     focal_bit: int,
     trials: int,
     rng: Pcg32,
-    target: np.ndarray | None = None,
 ) -> np.ndarray:
     """Ones at the focal position among the mu selected, per single step.
 
-    Each trial runs one independent sample-and-select generation from the
-    same frequency vector; the result is the next-generation one-count
+    Each trial runs one independent ``step`` from the same frequency
+    vector; the result is the next-generation one-count
     X_{t+1} whose distribution the dominance and drift checks examine.
     """
     out = np.empty(trials, dtype=np.int64)
     for i in range(trials):
-        pop = sample_population(p, lam, rng, target)
-        selected = select_mu_best(pop, mu, rng)
-        out[i] = int(selected.bits[:, focal_bit].sum())
+        out[i] = int(step(p, mu, lam, rng).selected.bits[:, focal_bit].sum())
     return out

@@ -76,17 +76,3 @@ def record_generation(
         at_upper_border=int(np.count_nonzero(v == p_next.upper_limit)),
         best_fitness=int(pop.fitness.max()),
     )
-
-
-def export_trajectory(telemetry: RunTelemetry, path: str) -> None:
-    """Write captured frequency snapshots as semicolon-separated rows.
-
-    Each row is the generation index followed by the n frequencies, printed
-    with 6 significant digits.
-    """
-    from .experiments import format_decimal
-
-    with open(path, "w", newline="\n") as fh:
-        for t, values in telemetry.trajectory:
-            cells = [str(t)] + [format_decimal(x) for x in values]
-            fh.write(";".join(cells) + "\n")

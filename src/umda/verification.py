@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bitmodel import FrequencyVector, sample_population
-from .core import select_mu_best, update_frequencies
+from .bitmodel import FrequencyVector
+from .core import step
 from .experiments import derive_stream
 from .levels import decompose, focal_one_counts
 from .oracles import (
@@ -182,7 +182,7 @@ def check_decomposition_invariants(
         rng = Pcg32(seed, derive_stream(cell, 0))
         p = FrequencyVector.uniform(n, borders=True)
         for t in range(per_cell):
-            pop = sample_population(p, lam, rng)
+            pop, _, upd = step(p, mu, lam, rng)
             dec = decompose(pop, mu, focal_bit=t % n)
             checked += 1
             ok = (
@@ -200,8 +200,7 @@ def check_decomposition_invariants(
                     and int(dec.counts_at_or_above[dec.cut_level - 1]) > mu
                 )
             violations += int(not ok)
-            selected = select_mu_best(pop, mu, rng)
-            p = update_frequencies(selected, mu, borders=True, n=n).frequencies
+            p = upd.frequencies
             if int(pop.fitness.max()) == n:
                 p = FrequencyVector.uniform(n, borders=True)
     return CheckResult(

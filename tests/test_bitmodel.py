@@ -4,14 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
-from umda.bitmodel import (
-    FrequencyVector,
-    all_ones,
-    onemax,
-    onemax_target,
-    sample_individual,
-    sample_population,
-)
+from umda.bitmodel import FrequencyVector, onemax, sample_population
 from umda.oracles import poisson_binomial_pmf
 from umda.rng import Pcg32
 
@@ -22,23 +15,9 @@ def test_onemax_basics():
     assert onemax([1, 0, 1, 1, 0]) == 3
 
 
-def test_onemax_target_examples():
-    a = np.array([0, 1, 1, 0], dtype=bool)
-    assert onemax_target(a, a) == 4
-    assert onemax_target([1, 0, 1, 0], [0, 1, 1, 0]) == 2
-    x = np.array([1, 0, 1, 1, 0], dtype=bool)
-    assert onemax_target(x, all_ones(5)) == onemax(x)
-
-
-def test_onemax_target_length_mismatch():
-    with pytest.raises(ValueError):
-        onemax_target([1, 0], [1, 0, 1])
-
-
 @given(bits=st.lists(st.booleans(), min_size=1, max_size=64))
 def test_onemax_counts_ones(bits):
     assert onemax(bits) == sum(bits)
-    assert onemax_target(bits, [True] * len(bits)) == sum(bits)
 
 
 class TestFrequencyVector:
@@ -70,11 +49,11 @@ class TestFrequencyVector:
 
 def test_sample_all_ones_and_all_zeros():
     p1 = FrequencyVector(np.ones(12), borders=False, n=12)
-    ind = sample_individual(p1, Pcg32(1, 0))
-    assert ind.fitness == 12 and np.all(ind.bits)
+    ind = sample_population(p1, 1, Pcg32(1, 0))
+    assert ind.fitness[0] == 12 and np.all(ind.bits)
     p0 = FrequencyVector(np.zeros(12), borders=False, n=12)
-    ind = sample_individual(p0, Pcg32(1, 0))
-    assert ind.fitness == 0 and not np.any(ind.bits)
+    ind = sample_population(p0, 1, Pcg32(1, 0))
+    assert ind.fitness[0] == 0 and not np.any(ind.bits)
 
 
 def test_sample_mean_fitness_near_half_n():
@@ -88,9 +67,9 @@ def test_population_matches_sequential_individuals():
     pop = sample_population(p, 7, Pcg32(9, 3))
     solo = Pcg32(9, 3)
     for j in range(7):
-        ind = sample_individual(p, solo)
-        assert np.array_equal(pop.bits[j], ind.bits)
-        assert int(pop.fitness[j]) == ind.fitness
+        ind = sample_population(p, 1, solo)
+        assert np.array_equal(pop.bits[j], ind.bits[0])
+        assert pop.fitness[j] == ind.fitness[0]
 
 
 def test_sample_population_deterministic():
@@ -140,11 +119,3 @@ def test_onemax_distribution_matches_poisson_binomial():
         exp = np.append(exp, expected[~keep].sum())
     result = sstats.chisquare(obs, f_exp=exp, sum_check=False)
     assert result.pvalue > 0.001
-
-
-def test_fitness_uses_target():
-    target = np.array([1, 0, 1, 0, 1, 0], dtype=bool)
-    p = FrequencyVector(np.zeros(6), borders=False, n=6)
-    pop = sample_population(p, 3, Pcg32(0, 0), target=target)
-    # all-zero samples match target exactly at its three 0 positions
-    assert np.all(pop.fitness == 3)

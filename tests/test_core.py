@@ -15,6 +15,7 @@ from umda.core import (
     update_frequencies,
 )
 from umda.rng import Pcg32
+from umda.telemetry import record_generation
 
 
 def make_population(rows, fitness=None, width=None):
@@ -108,19 +109,18 @@ class TestUpdate:
 
 class TestStep:
     def test_deterministic(self):
-        cfg = UmdaConfig(n=20, mu=10, lam=20, master_seed=5, run_index=1)
         p = FrequencyVector.uniform(20)
-        a = step(p, cfg, Pcg32(5, 1), t=1)
-        b = step(p, cfg, Pcg32(5, 1), t=1)
-        assert np.array_equal(a.frequencies.values, b.frequencies.values)
+        a = step(p, 10, 20, Pcg32(5, 1))
+        b = step(p, 10, 20, Pcg32(5, 1))
+        assert np.array_equal(a.update.frequencies.values, b.update.frequencies.values)
         assert np.array_equal(a.population.bits, b.population.bits)
 
     def test_frequencies_are_multiples_of_one_over_mu_or_borders(self):
         cfg = UmdaConfig(n=20, mu=10, lam=20, master_seed=6)
         p = FrequencyVector.uniform(20)
         for t in range(1, 30):
-            result = step(p, cfg, cfg.make_rng(), t)
-            p = result.frequencies
+            result = step(p, cfg.mu, cfg.lam, cfg.make_rng())
+            p = result.update.frequencies
             v = p.values
             at_border = (v == p.lower_limit) | (v == p.upper_limit)
             steps = v[~at_border] * 10
@@ -129,12 +129,42 @@ class TestStep:
     def test_stats_describe_updated_vector(self):
         cfg = UmdaConfig(n=15, mu=5, lam=15, master_seed=7)
         p = FrequencyVector.uniform(15)
-        result = step(p, cfg, cfg.make_rng(), t=1)
-        v = result.frequencies.values
-        assert result.stats.sampling_variance == pytest.approx(
-            float(np.sum(v * (1 - v)))
+        pop, _, upd = step(p, cfg.mu, cfg.lam, cfg.make_rng())
+        stats = record_generation(upd.frequencies, upd.lower_hits, upd.upper_hits, pop, t=1)
+        v = upd.frequencies.values
+        assert stats.sampling_variance == pytest.approx(float(np.sum(v * (1 - v))))
+        assert stats.best_fitness == int(pop.fitness.max())
+
+    def test_selected_are_mu_of_the_sampled(self):
+        p = FrequencyVector.uniform(16)
+        pop, selected, upd = step(p, 4, 12, Pcg32(8, 0))
+        assert len(pop) == 12 and len(selected) == 4
+        sampled = {row.tobytes() for row in pop.bits}
+        assert all(row.tobytes() in sampled for row in selected.bits)
+        assert np.allclose(
+            upd.frequencies.values,
+            np.clip(selected.bits.mean(axis=0), 1 / 16, 1 - 1 / 16),
         )
-        assert result.stats.best_fitness == int(result.population.fitness.max())
+
+    def test_step_loop_reproduces_run(self):
+        cfg = UmdaConfig(n=30, mu=6, lam=18, master_seed=9, run_index=4)
+        result = run(cfg)
+        rng = cfg.make_rng()
+        p = FrequencyVector.uniform(cfg.n)
+        lower = upper = t = 0
+        while True:
+            t += 1
+            pop, _, upd = step(p, cfg.mu, cfg.lam, rng)
+            p = upd.frequencies
+            lower += int(upd.lower_hits.sum())
+            upper += int(upd.upper_hits.sum())
+            if pop.fitness.max() == cfg.n:
+                break
+        assert result.verdict == "optimum_found"
+        assert result.generations == t
+        assert np.array_equal(result.final_frequencies.values, p.values)
+        assert result.telemetry.total_lower_border_hits == lower
+        assert result.telemetry.total_upper_border_hits == upper
 
 
 class TestRun:
@@ -202,6 +232,13 @@ class TestRun:
         assert result.generations == 2
         assert result.evaluations == 40
 
+    def test_zero_budget(self):
+        cfg = UmdaConfig(n=20, mu=5, lam=10, master_seed=15, max_generations=0)
+        result = run(cfg)
+        assert result.verdict == "budget_exhausted"
+        assert result.generations == 0
+        assert result.evaluations == 0
+
     def test_frequency_support_invariant_restricted(self):
         cfg = UmdaConfig(n=25, mu=5, lam=15, master_seed=16)
         result = run(cfg)
@@ -220,18 +257,7 @@ class TestRun:
         with pytest.raises(ValueError):
             UmdaConfig(n=10, mu=0, lam=5)
         with pytest.raises(ValueError):
-            UmdaConfig(n=10, mu=2, lam=4, target=np.ones(9, dtype=bool))
-        with pytest.raises(ValueError):
             UmdaConfig(n=1, mu=1, lam=2, borders=True)
-
-    def test_custom_target_reached(self):
-        target = np.array([0, 1] * 10, dtype=bool)
-        cfg = UmdaConfig(n=20, mu=10, lam=30, target=target, master_seed=18)
-        result = run(cfg)
-        assert result.verdict == "optimum_found"
-        # frequencies end up pulled toward the target pattern
-        v = result.final_frequencies.values
-        assert np.mean(v[target]) > 0.5 > np.mean(v[~target])
 
 
 @given(

@@ -109,6 +109,15 @@ class TestStreams:
         with pytest.raises(ValueError):
             derive_stream(1, 1 << 32)
 
+    def test_rejects_setting_outside_31_bits(self):
+        # Pcg32's increment (stream << 1) | 1 drops bit 63, so a setting of
+        # 2**31 would share its streams with setting 0
+        assert derive_stream((1 << 31) - 1, 0) == ((1 << 31) - 1) << 32
+        with pytest.raises(ValueError):
+            derive_stream(5 + (1 << 31), 3)
+        with pytest.raises(ValueError):
+            derive_stream(-1, 0)
+
 
 class TestSweepConfig:
     def test_lambda_range_inclusive(self):
@@ -298,6 +307,16 @@ class TestCli:
         )
         assert main(["verify"]) == 0
         assert "PASS stub" in capsys.readouterr().out
+
+    def test_internal_key_error_is_not_a_config_error(self, monkeypatch):
+        from umda import cli
+
+        def broken(*args, **kwargs):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(cli, "run_sweep", broken)
+        with pytest.raises(KeyError):
+            main(["--threads", "1", "sweep", "--n", "30", "--lambdas", "10:10:1"])
 
     def test_scaling_command(self, capsys):
         rc = main(

@@ -12,8 +12,13 @@ import pytest
 
 from umda.cli import main
 from umda.core import UmdaConfig, run
-from umda.experiments import SweepConfig, emit_csv, run_phase_transition_probe, run_sweep
-from umda.telemetry import export_trajectory
+from umda.experiments import (
+    SweepConfig,
+    emit_csv,
+    export_trajectory,
+    run_phase_transition_probe,
+    run_sweep,
+)
 
 
 def digest(data: bytes) -> str:

@@ -7,12 +7,8 @@ from hypothesis import strategies as st
 
 from umda.bitmodel import FrequencyVector, Population
 from umda.core import UmdaConfig, run
-from umda.telemetry import (
-    export_trajectory,
-    potential,
-    record_generation,
-    sampling_variance,
-)
+from umda.experiments import export_trajectory
+from umda.telemetry import potential, record_generation, sampling_variance
 
 
 def vector(values, borders=False):
