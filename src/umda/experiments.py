@@ -270,6 +270,8 @@ def run_batch(
     summaries come back split by setting, in the order of ``settings`` and,
     within each, in run-index order.
     """
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
     configs = [
         UmdaConfig(
             **shared,
@@ -369,8 +371,8 @@ def run_scaling_study(
 ) -> ScalingResult:
     """Median generations per problem size plus a log-log slope fit."""
     n_values = list(n_values)
-    if sorted(n_values) != n_values:
-        raise ValueError("n_values must be monotone increasing")
+    if any(a >= b for a, b in zip(n_values, n_values[1:])):
+        raise ValueError(f"n_values must be strictly increasing, got {n_values}")
     settings = []
     for n in n_values:
         mu = int_rule(mu_rule, n=n)

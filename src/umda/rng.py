@@ -17,11 +17,18 @@ _MASK32 = (1 << 32) - 1
 #: Scale factor for the documented u32 -> [0, 1) mapping: value / 2**32.
 TWO_POW_32 = 4294967296.0
 
+#: Draws generated per pass of ``Pcg32.next_u32_block``.  A pass touches
+#: about 44 bytes of tables, states and temporaries per draw, so a 16k pass
+#: (about 700 kB) stays in cache.  On a 2-vCPU Xeon host 16k measured
+#: 4.5 ns/u32 against 5.0-5.8 ns for 8k and 32k, and 24 ns for a 600k block
+#: generated in one pass.
+CHUNK = 16384
+
 # Shared tables for vectorized state generation: _POW[i] = MULT^i and
 # _GEO[i] = 1 + MULT + ... + MULT^(i-1), both mod 2^64.  The LCG state after
-# i steps from s is POW[i] * s + GEO[i] * increment, so a whole block of
-# pre-advance states takes three elementwise operations.  The tables depend
-# only on the multiplier and grow on demand by doubling:
+# i steps from s is POW[i] * s + GEO[i] * increment, so once GEO * increment
+# is formed a chunk of pre-advance states takes two elementwise operations.
+# The tables depend only on the multiplier and grow on demand by doubling:
 # POW[m+i] = POW[m] * POW[i]   and   GEO[m+i] = GEO[m] + POW[m] * GEO[i].
 _POW = np.array([1], dtype=np.uint64)
 _GEO = np.array([0], dtype=np.uint64)
@@ -77,21 +84,46 @@ class Pcg32:
         return (hi << 32) | self.next_u32()
 
     def next_u32_block(self, count: int) -> np.ndarray:
-        """Vectorized batch of ``count`` outputs, identical to scalar draws."""
+        """Vectorized batch of ``count`` outputs, identical to scalar draws.
+
+        The states are generated CHUNK at a time from the state carried over
+        from the previous chunk, so the temporaries stay cache-sized and the
+        jump tables never exceed CHUNK + 1 entries, whatever ``count`` is.
+        """
+        out = np.empty(max(count, 0), dtype=np.uint32)
         if count <= 0:
-            return np.empty(0, dtype=np.uint32)
-        pows, geos = _step_tables(count + 1)
-        states = pows * np.uint64(self._state)
-        states += geos * np.uint64(self._inc)
-        self._state = int(states[count])
-        states = states[:count]
-        xorshifted = (((states >> np.uint64(18)) ^ states) >> np.uint64(27)).astype(
-            np.uint32
-        )
-        rot = (states >> np.uint64(59)).astype(np.uint32)
-        return (xorshifted >> rot) | (
-            xorshifted << ((np.uint32(32) - rot) & np.uint32(31))
-        )
+            return out
+        size = min(count, CHUNK)
+        pows, geos = _step_tables(size + 1)
+        steps = geos * np.uint64(self._inc)
+        states = np.empty(size + 1, dtype=np.uint64)
+        wide = np.empty(size, dtype=np.uint64)
+        word = np.empty(size, dtype=np.uint32)
+        rot = np.empty(size, dtype=np.uint32)
+        state = self._state
+        for start in range(0, count, CHUNK):
+            m = min(CHUNK, count - start)
+            s, t, x, r = states[: m + 1], wide[:m], word[:m], rot[:m]
+            np.multiply(pows[: m + 1], np.uint64(state), out=s)
+            s += steps[: m + 1]
+            state = int(s[m])
+            s = s[:m]
+            # XSH-RR: x = ((s >> 18) ^ s) >> 27 truncated to 32 bits, rotated
+            # right by the top five state bits.
+            np.right_shift(s, 18, out=t)
+            t ^= s
+            t >>= 27
+            np.copyto(x, t, casting="unsafe")
+            np.right_shift(s, 59, out=t)
+            np.copyto(r, t, casting="unsafe")
+            o = out[start : start + m]
+            np.right_shift(x, r, out=o)
+            np.negative(r, out=r)
+            r &= 31
+            x <<= r
+            o |= x
+        self._state = state
+        return out
 
     def next_u64_block(self, count: int) -> np.ndarray:
         """Batch of u64 values; element i packs draws (2i, 2i+1) high-first."""

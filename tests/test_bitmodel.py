@@ -72,6 +72,17 @@ def test_population_matches_sequential_individuals():
         assert pop.fitness[j] == ind.fitness[0]
 
 
+def test_multi_chunk_population_matches_single_rows():
+    # 20 rows of n=2000 draw 40k u32, several chunks of one block
+    p = FrequencyVector(np.linspace(0.05, 0.95, 2000), borders=False, n=2000)
+    pop = sample_population(p, 20, Pcg32(10, 7))
+    solo = Pcg32(10, 7)
+    for j in range(20):
+        row = sample_population(p, 1, solo)
+        assert np.array_equal(pop.bits[j], row.bits[0])
+        assert pop.fitness[j] == row.fitness[0]
+
+
 def test_sample_population_deterministic():
     p = FrequencyVector.uniform(30)
     a = sample_population(p, 50, Pcg32(2, 2))

@@ -15,6 +15,7 @@ from umda.experiments import (
     moving_average,
     parse_config_file,
     parse_csv,
+    run_batch,
     run_phase_transition_probe,
     run_scaling_study,
     run_sweep,
@@ -211,6 +212,14 @@ class TestScalingAndPhase:
         with pytest.raises(ValueError):
             run_scaling_study([64, 32], "ceil(3*sqrt(n)*log(n))", runs=1)
 
+    def test_rejects_repeated_sizes(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            run_scaling_study([32, 32], "ceil(3*log(n))", runs=3, threads=1)
+
+    def test_batch_rejects_zero_runs(self):
+        with pytest.raises(ValueError, match="runs must be >= 1"):
+            run_batch([(8, {"mu": 4, "lam": 8})], 0, 0, 1, n=10, borders=True)
+
     def test_phase_probe_orders_mus(self):
         with pytest.raises(ValueError):
             run_phase_transition_probe(100, 50, 10, runs=2)
@@ -317,6 +326,18 @@ class TestCli:
         monkeypatch.setattr(cli, "run_sweep", broken)
         with pytest.raises(KeyError):
             main(["--threads", "1", "sweep", "--n", "30", "--lambdas", "10:10:1"])
+
+    def test_phase_zero_runs_exit_code(self, capsys):
+        rc = main(["--threads", "1", "phase", "--n", "10", "--mu-small", "1",
+                   "--mu-large", "2", "--runs", "0"])
+        assert rc == 1
+        assert "runs must be >= 1" in capsys.readouterr().err
+
+    def test_scaling_zero_runs_exit_code(self, capsys):
+        rc = main(["--threads", "1", "scaling", "--n-values", "24,48",
+                   "--mu-rule", "ceil(3*sqrt(n)*log(n))", "--runs", "0"])
+        assert rc == 1
+        assert "runs must be >= 1" in capsys.readouterr().err
 
     def test_scaling_command(self, capsys):
         rc = main(

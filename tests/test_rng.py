@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from umda.rng import Pcg32
+from umda import rng
+from umda.rng import CHUNK, Pcg32
 
 # First six outputs of the published PCG32 (XSH-RR 64/32) reference for
 # seed(42, 54), recorded once from the independent implementation below.
@@ -95,6 +98,38 @@ def test_u64_block_matches_scalar_u64():
     a = Pcg32(5, 6)
     b = Pcg32(5, 6)
     assert a.next_u64_block(10).tolist() == [b.next_u64() for _ in range(10)]
+
+
+@pytest.mark.parametrize("count", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+def test_block_across_chunks_equals_scalar(count):
+    blocked = Pcg32(31, 4)
+    scalar = Pcg32(31, 4)
+    assert blocked.next_u32_block(count).tolist() == [
+        scalar.next_u32() for _ in range(count)
+    ]
+    assert blocked.state == scalar.state
+
+
+def test_u64_block_across_a_chunk_boundary():
+    a = Pcg32(8, 1)
+    b = Pcg32(8, 1)
+    a.next_u32_block(5)
+    for _ in range(5):
+        b.next_u32()
+    count = CHUNK // 2 + 3
+    assert a.next_u64_block(count).tolist() == [b.next_u64() for _ in range(count)]
+
+
+def test_large_block_memory_is_bounded():
+    tracemalloc.start()
+    try:
+        Pcg32(12, 0).next_u32_block(10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the 4 MB output plus chunk-sized scratch, not per-draw temporaries
+    assert peak < 4 * 10**6 + 2 * 2**20
+    assert rng._POW.size <= 2 * CHUNK
 
 
 def test_empty_block():
