@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Borderless (UMDA*) stagnation probe at n=500: nearly every run stagnates
-at mu = ceil(3 log n) = 19, while most succeed at mu = ceil(3 sqrt(n) log n)
-= 417."""
+"""Borderless (UMDA*) stagnation probe at n=500 with lambda = 2*mu: nearly
+every run stagnates at mu = ceil(3 log n) = 19, while most succeed at
+mu = ceil(3 sqrt(n) log n) = 417."""
 
 import sys
 

@@ -2,7 +2,7 @@
 
 Modules
 -------
-rng           deterministic PCG32 generation (scalar and vectorized blocks)
+rng           deterministic PCG32 generation (scalar and vectorized blocks), stream ids
 bitmodel      bit strings, OneMax fitness, frequency vectors, sampling
 core          generation loop, selection, frequency update, run driver
 telemetry     per-generation sampling variance / potential / border hits

@@ -10,6 +10,7 @@ import argparse
 import sys
 
 from .experiments import (
+    SWEEP_SETTINGS,
     ScalingResult,
     SweepConfig,
     emit_csv,
@@ -35,25 +36,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="UMDA/UMDA* simulator on OneMax: sweeps, scaling studies, "
         "phase-transition probes, and a statistical verification suite.",
     )
-    parser.add_argument("--seed", type=int, default=None, help="master seed")
+    parser.add_argument(
+        "--seed", dest="master_seed", type=int, default=None, help="master seed"
+    )
     parser.add_argument(
         "--threads", type=int, default=None, help="worker processes (default: cores)"
     )
-    parser.add_argument("--out", default=None, help="output file path")
     parser.add_argument(
-        "--config", default=None, help="key = value config file (sweep settings)"
+        "--out", dest="output_path", default=None,
+        help="output file path (sweep and scaling only)",
+    )
+    parser.add_argument(
+        "--config", default=None, help="key = value config file (sweep only)"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser("sweep", help="lambda sweep with CSV output")
-    sweep.add_argument("--n", type=int, default=None)
+    # stored as text under the config-file keys, parsed by SWEEP_SETTINGS
+    sweep.add_argument("--n", default=None)
     sweep.add_argument(
-        "--lambdas", default=None, help="lambda range start:stop:step (stop inclusive)"
+        "--lambdas", dest="lambda_values", default=None,
+        help="lambda range start:stop:step (stop inclusive)",
     )
     sweep.add_argument("--mu-rule", default=None, help="e.g. lam/2")
     sweep.add_argument("--borders", choices=["restricted", "unrestricted"], default=None)
-    sweep.add_argument("--runs", type=int, default=None, help="runs per lambda")
-    sweep.add_argument("--max-generations", type=int, default=None)
+    sweep.add_argument(
+        "--runs", dest="runs_per_setting", default=None, help="runs per lambda"
+    )
+    sweep.add_argument("--max-generations", default=None)
     sweep.add_argument("--header", action="store_true", help="write a header line")
 
     scaling = sub.add_parser("scaling", help="median generations vs problem size")
@@ -80,32 +90,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _sweep_config(args) -> SweepConfig:
-    mapping: dict[str, str] = {}
-    if args.config:
-        mapping = parse_config_file(args.config)
-    overrides = {
-        "n": args.n,
-        "lambda_values": args.lambdas,
-        "mu_rule": args.mu_rule,
-        "borders": args.borders,
-        "runs_per_setting": args.runs,
-        "max_generations": args.max_generations,
-        "master_seed": args.seed,
-        "output_path": args.out,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            mapping[key] = str(value)
+    mapping = parse_config_file(args.config) if args.config else {}
+    for key in SWEEP_SETTINGS:
+        if getattr(args, key) is not None:
+            mapping[key] = getattr(args, key)
     return sweep_config_from_mapping(mapping)
 
 
 def _cmd_sweep(args) -> int:
     cfg = _sweep_config(args)
     rows = run_sweep(cfg, threads=args.threads)
-    path = args.out or cfg.output_path
-    if path:
-        emit_csv(rows, path, header=args.header)
-        print(f"wrote {len(rows)} rows to {path}")
+    if cfg.output_path:
+        emit_csv(rows, cfg.output_path, header=args.header)
+        print(f"wrote {len(rows)} rows to {cfg.output_path}")
     else:
         for row in rows:
             print(row.line())
@@ -134,14 +131,14 @@ def _cmd_scaling(args) -> int:
         mu_rule=args.mu_rule,
         lambda_rule=args.lambda_rule,
         runs=args.runs,
-        master_seed=args.seed or 0,
+        master_seed=args.master_seed or 0,
         borders=args.borders == "restricted",
         max_generations=args.max_generations,
         threads=args.threads,
     )
     _print_scaling(result)
-    if args.out:
-        write_lines(args.out, [row.line() for row in result.rows])
+    if args.output_path:
+        write_lines(args.output_path, [row.line() for row in result.rows])
     return EXIT_OK
 
 
@@ -151,7 +148,7 @@ def _cmd_phase(args) -> int:
         mu_small=args.mu_small,
         mu_large=args.mu_large,
         runs=args.runs,
-        master_seed=args.seed or 0,
+        master_seed=args.master_seed or 0,
         max_generations=args.max_generations,
         threads=args.threads,
     )
@@ -188,6 +185,10 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
     }
     try:
+        if args.config is not None and args.command != "sweep":
+            raise ValueError(f"--config does not apply to {args.command}")
+        if args.output_path is not None and args.command in ("phase", "verify"):
+            raise ValueError(f"--out does not apply to {args.command}")
         return handlers[args.command](args)
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -15,13 +15,14 @@ import ast
 import math
 import os
 from concurrent import futures
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from decimal import Decimal
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import UmdaConfig, run
+from .rng import derive_stream
 from .telemetry import RunTelemetry
 
 
@@ -72,18 +73,12 @@ class SweepRow:
         )
 
 
-CSV_COLUMNS = (
-    "lambda",
-    "avg_evaluations",
-    "avg_lower_border_hits",
-    "success_fraction",
-    "avg_generations",
-)
+CSV_HEADER = "lambda;avg_evaluations;avg_lower_border_hits;success_fraction;avg_generations"
 
 
 def emit_csv(rows, path: str, header: bool = False) -> None:
     """Write sweep rows as semicolon-separated lines, column 0 = lambda."""
-    head = [";".join(CSV_COLUMNS)] if header else []
+    head = [CSV_HEADER] if header else []
     write_lines(path, head + [row.line() for row in rows])
 
 
@@ -94,27 +89,6 @@ def export_trajectory(telemetry: RunTelemetry, path: str) -> None:
     with 6 significant digits.
     """
     write_lines(path, [format_row([t], values) for t, values in telemetry.trajectory])
-
-
-def parse_csv(path: str) -> list[SweepRow]:
-    """Read back a sweep file produced by emit_csv."""
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith(CSV_COLUMNS[0]):
-                continue
-            cells = line.split(";")
-            rows.append(
-                SweepRow(
-                    lam=int(cells[0]),
-                    avg_evaluations=float(cells[1]),
-                    avg_lower_border_hits=float(cells[2]),
-                    success_fraction=float(cells[3]),
-                    avg_generations=float(cells[4]),
-                )
-            )
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -189,20 +163,6 @@ def int_rule(expr: str, **variables: float) -> int:
     return int(math.ceil(value))
 
 
-def derive_stream(setting: int, run_index: int) -> int:
-    """Stream id for (swept setting, run index): injective, order-stable.
-
-    Adding settings to a sweep or appending runs never perturbs the streams
-    of existing runs.  The setting is limited to 31 bits because Pcg32 uses
-    (stream << 1) | 1 as its 64-bit increment, which drops bit 63.
-    """
-    if not 0 <= setting < 1 << 31:
-        raise ValueError(f"setting must be in [0, 2**31), got {setting}")
-    if not 0 <= run_index < 1 << 32:
-        raise ValueError("run_index must fit in 32 bits")
-    return (setting << 32) | run_index
-
-
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -241,6 +201,37 @@ class SweepConfig:
 
     def mu_for(self, lam: int) -> int:
         return int_rule(self.mu_rule, lam=lam, n=self.n)
+
+
+def _parse_lambda_values(text: str) -> tuple[int, int, int]:
+    parts = text.replace(",", ":").split(":")
+    if len(parts) != 3:
+        raise ValueError(f"lambda_values must be start:stop:step, got {text!r}")
+    start, stop, step = (int(p) for p in parts)
+    return start, stop, step
+
+
+def _parse_borders(text: str) -> bool:
+    value = text.strip().lower()
+    if value in ("restricted", "true", "on", "1"):
+        return True
+    if value in ("unrestricted", "false", "off", "0"):
+        return False
+    raise ValueError(f"borders must be restricted or unrestricted, got {text!r}")
+
+
+#: Parser of each SweepConfig field from its text in a config file or on the
+#: command line; the CLI's sweep flags are stored under the same keys.
+SWEEP_SETTINGS = {
+    "n": int,
+    "lambda_values": _parse_lambda_values,
+    "mu_rule": str,
+    "borders": _parse_borders,
+    "runs_per_setting": int,
+    "master_seed": int,
+    "max_generations": lambda s: int(s) if s else None,
+    "output_path": str,
+}
 
 
 class RunSummary(NamedTuple):
@@ -431,19 +422,16 @@ def run_phase_transition_probe(
     master_seed: int = 0,
     max_generations: int | None = None,
     threads: int | None = None,
-    lambda_rule: str = "2*mu",
 ) -> tuple[PhaseOutcome, PhaseOutcome]:
-    """Borderless-run verdict fractions at a small and a large parent count.
+    """Borderless-run verdict fractions at a small and a large parent count,
+    with lambda = 2 * mu.
 
     Below the phase transition nearly every run stagnates with a frequency
     stuck at the wrong absorbing value; above it, most runs find the optimum.
     """
     if not mu_small < mu_large:
         raise ValueError("need mu_small < mu_large")
-    settings = [
-        (mu, {"mu": mu, "lam": int_rule(lambda_rule, n=n, mu=mu)})
-        for mu in (mu_small, mu_large)
-    ]
+    settings = [(mu, {"mu": mu, "lam": 2 * mu}) for mu in (mu_small, mu_large)]
     batches = run_batch(
         settings, runs, master_seed, threads,
         n=n, borders=False, max_generations=max_generations,
@@ -461,8 +449,7 @@ def run_phase_transition_probe(
                 budget_fraction=verdicts.count("budget_exhausted") / runs,
             )
         )
-    small, large = outcomes
-    return small, large
+    return outcomes[0], outcomes[1]
 
 
 # ---------------------------------------------------------------------------
@@ -510,54 +497,12 @@ def parse_config_file(path: str) -> dict[str, str]:
     return mapping
 
 
-def _parse_lambda_values(text: str) -> tuple[int, int, int]:
-    parts = text.replace(",", ":").split(":")
-    if len(parts) != 3:
-        raise ValueError(f"lambda_values must be start:stop:step, got {text!r}")
-    start, stop, step = (int(p) for p in parts)
-    return start, stop, step
-
-
-def _parse_borders(text: str) -> bool:
-    value = text.strip().lower()
-    if value in ("restricted", "true", "on", "1"):
-        return True
-    if value in ("unrestricted", "false", "off", "0"):
-        return False
-    raise ValueError(f"borders must be restricted or unrestricted, got {text!r}")
-
-
 def sweep_config_from_mapping(mapping: dict[str, str]) -> SweepConfig:
-    """Build a SweepConfig from config-file keys (all values are strings)."""
-    known = {
-        "n",
-        "lambda_values",
-        "mu_rule",
-        "borders",
-        "runs_per_setting",
-        "master_seed",
-        "max_generations",
-        "output_path",
-    }
-    unknown = set(mapping) - known
+    """Build a SweepConfig from config-file keys, each parsed by SWEEP_SETTINGS."""
+    unknown = set(mapping) - set(SWEEP_SETTINGS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    if "n" not in mapping or "lambda_values" not in mapping:
-        raise ValueError("config requires at least `n` and `lambda_values`")
-    kwargs: dict = {
-        "n": int(mapping["n"]),
-        "lambda_values": _parse_lambda_values(mapping["lambda_values"]),
-    }
-    if "mu_rule" in mapping:
-        kwargs["mu_rule"] = mapping["mu_rule"]
-    if "borders" in mapping:
-        kwargs["borders"] = _parse_borders(mapping["borders"])
-    if "runs_per_setting" in mapping:
-        kwargs["runs_per_setting"] = int(mapping["runs_per_setting"])
-    if "master_seed" in mapping:
-        kwargs["master_seed"] = int(mapping["master_seed"])
-    if "max_generations" in mapping and mapping["max_generations"]:
-        kwargs["max_generations"] = int(mapping["max_generations"])
-    if "output_path" in mapping:
-        kwargs["output_path"] = mapping["output_path"]
-    return SweepConfig(**kwargs)
+    required = [f.name for f in fields(SweepConfig) if f.default is MISSING]
+    if not set(required) <= set(mapping):
+        raise ValueError(f"config requires at least {required}")
+    return SweepConfig(**{key: SWEEP_SETTINGS[key](value) for key, value in mapping.items()})

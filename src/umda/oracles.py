@@ -91,14 +91,12 @@ def chunk_coverage(table: PmfTable, bounds: ChunkBounds) -> float:
     return float(table.pmf[bounds.k_lo : bounds.k_hi + 1].sum())
 
 
-def verify_chunk_lower_bound(p, ell: float, u: float) -> float:
+def verify_chunk_lower_bound(table: PmfTable, bounds: ChunkBounds) -> float:
     """min over the chunk of pmf(k) * max(1, sigma).
 
     A uniform positive floor for this quantity across instances witnesses
     that every chunk point carries probability on the order of 1/sigma.
     """
-    table = poisson_binomial_pmf(p)
-    bounds = chunk_bounds(table, ell, u)
     chunk = table.pmf[bounds.k_lo : bounds.k_hi + 1]
     return float(chunk.min() * max(1.0, table.sigma))
 

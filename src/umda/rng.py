@@ -24,25 +24,39 @@ TWO_POW_32 = 4294967296.0
 #: generated in one pass.
 CHUNK = 16384
 
-# Shared tables for vectorized state generation: _POW[i] = MULT^i and
+# Jump tables for vectorized state generation: _POW[i] = MULT^i and
 # _GEO[i] = 1 + MULT + ... + MULT^(i-1), both mod 2^64.  The LCG state after
 # i steps from s is POW[i] * s + GEO[i] * increment, so once GEO * increment
 # is formed a chunk of pre-advance states takes two elementwise operations.
-# The tables depend only on the multiplier and grow on demand by doubling:
+# A chunk needs CHUNK + 1 entries; they are built at import by doubling:
 # POW[m+i] = POW[m] * POW[i]   and   GEO[m+i] = GEO[m] + POW[m] * GEO[i].
-_POW = np.array([1], dtype=np.uint64)
-_GEO = np.array([0], dtype=np.uint64)
-
-
 def _step_tables(count: int) -> tuple[np.ndarray, np.ndarray]:
-    global _POW, _GEO
-    while _POW.size < count:
-        m = _POW.size
-        pow_m = np.uint64((int(_POW[-1]) * _MULT) & _MASK64)
-        geo_m = np.uint64((int(_GEO[-1]) + int(_POW[-1])) & _MASK64)
-        _POW = np.concatenate([_POW, _POW * pow_m])
-        _GEO = np.concatenate([_GEO, geo_m + pow_m * _GEO[:m]])
-    return _POW[:count], _GEO[:count]
+    pows = np.array([1], dtype=np.uint64)
+    geos = np.array([0], dtype=np.uint64)
+    while pows.size < count:
+        m = pows.size
+        pow_m = np.uint64((int(pows[-1]) * _MULT) & _MASK64)
+        geo_m = np.uint64((int(geos[-1]) + int(pows[-1])) & _MASK64)
+        pows = np.concatenate([pows, pows * pow_m])
+        geos = np.concatenate([geos, geo_m + pow_m * geos[:m]])
+    return pows[:count], geos[:count]
+
+
+_POW, _GEO = _step_tables(CHUNK + 1)
+
+
+def derive_stream(setting: int, run_index: int) -> int:
+    """Stream id for (swept setting, run index): injective, order-stable.
+
+    Adding settings to a sweep or appending runs never perturbs the streams
+    of existing runs.  The setting is limited to 31 bits because Pcg32 uses
+    (stream << 1) | 1 as its 64-bit increment, which drops bit 63.
+    """
+    if not 0 <= setting < 1 << 31:
+        raise ValueError(f"setting must be in [0, 2**31), got {setting}")
+    if not 0 <= run_index < 1 << 32:
+        raise ValueError("run_index must fit in 32 bits")
+    return (setting << 32) | run_index
 
 
 class Pcg32:
@@ -87,15 +101,14 @@ class Pcg32:
         """Vectorized batch of ``count`` outputs, identical to scalar draws.
 
         The states are generated CHUNK at a time from the state carried over
-        from the previous chunk, so the temporaries stay cache-sized and the
-        jump tables never exceed CHUNK + 1 entries, whatever ``count`` is.
+        from the previous chunk, so the temporaries stay cache-sized whatever
+        ``count`` is.
         """
         out = np.empty(max(count, 0), dtype=np.uint32)
         if count <= 0:
             return out
         size = min(count, CHUNK)
-        pows, geos = _step_tables(size + 1)
-        steps = geos * np.uint64(self._inc)
+        steps = _GEO[: size + 1] * np.uint64(self._inc)
         states = np.empty(size + 1, dtype=np.uint64)
         wide = np.empty(size, dtype=np.uint64)
         word = np.empty(size, dtype=np.uint32)
@@ -104,7 +117,7 @@ class Pcg32:
         for start in range(0, count, CHUNK):
             m = min(CHUNK, count - start)
             s, t, x, r = states[: m + 1], wide[:m], word[:m], rot[:m]
-            np.multiply(pows[: m + 1], np.uint64(state), out=s)
+            np.multiply(_POW[: m + 1], np.uint64(state), out=s)
             s += steps[: m + 1]
             state = int(s[m])
             s = s[:m]
@@ -129,13 +142,3 @@ class Pcg32:
         """Batch of u64 values; element i packs draws (2i, 2i+1) high-first."""
         u = self.next_u32_block(2 * count).astype(np.uint64)
         return (u[0::2] << np.uint64(32)) | u[1::2]
-
-    def random(self) -> float:
-        """Uniform float in [0, 1): next_u32() / 2^32 (exact in double)."""
-        return self.next_u32() / TWO_POW_32
-
-    def bernoulli(self, p: float) -> int:
-        """1 with probability p, via the documented threshold u/2^32 < p."""
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"bernoulli probability must be in [0, 1], got {p}")
-        return int(self.next_u32() < p * TWO_POW_32)

@@ -1,12 +1,13 @@
 import math
+from dataclasses import fields
 
 import pytest
 
 from umda.cli import main
 from umda.experiments import (
+    SWEEP_SETTINGS,
     SweepConfig,
     SweepRow,
-    derive_stream,
     emit_csv,
     evaluate_rule,
     format_decimal,
@@ -14,13 +15,13 @@ from umda.experiments import (
     int_rule,
     moving_average,
     parse_config_file,
-    parse_csv,
     run_batch,
     run_phase_transition_probe,
     run_scaling_study,
     run_sweep,
     sweep_config_from_mapping,
 )
+from umda.rng import derive_stream
 
 
 class TestFormatting:
@@ -56,15 +57,6 @@ class TestFormatting:
         emit_csv([SweepRow(10, 1.0, 2.0, 1.0, 4.0)], str(path), header=True)
         first = path.read_text().split("\n")[0]
         assert first.startswith("lambda;")
-
-    def test_round_trip(self, tmp_path):
-        rows = [
-            SweepRow(20, 41000.0, 350.2, 1.0, 2050.0),
-            SweepRow(24, 39875.5, 210.25, 0.995, 1661.5),
-        ]
-        path = tmp_path / "rt.csv"
-        emit_csv(rows, str(path))
-        assert parse_csv(str(path)) == rows
 
 
 class TestRules:
@@ -153,6 +145,18 @@ class TestSweepConfig:
         assert cfg.runs_per_setting == 200
         assert cfg.borders is True
         assert cfg.output_path == "out.csv"
+
+    def test_settings_table_lists_every_field(self):
+        assert list(SWEEP_SETTINGS) == [f.name for f in fields(SweepConfig)]
+
+    def test_empty_max_generations_means_default(self):
+        base = {"n": "30", "lambda_values": "10:10:1"}
+        assert sweep_config_from_mapping({**base, "max_generations": ""}).max_generations is None
+        assert sweep_config_from_mapping({**base, "max_generations": "0"}).max_generations == 0
+
+    def test_missing_required_key_rejected(self):
+        with pytest.raises(ValueError, match="requires"):
+            sweep_config_from_mapping({"n": "10"})
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError):
@@ -281,6 +285,62 @@ class TestCli:
         )
         assert rc == 0
         assert out.exists()
+
+    def test_each_sweep_flag_overrides_its_config_key(self, tmp_path, monkeypatch):
+        from umda import cli
+
+        captured = []
+        monkeypatch.setattr(cli, "run_sweep", lambda cfg, threads: captured.append(cfg) or [])
+        cfgfile = tmp_path / "s.cfg"
+        cfgfile.write_text(
+            "n = 30\nlambda_values = 10:10:1\nmu_rule = lam/2\nborders = restricted\n"
+            "runs_per_setting = 2\nmaster_seed = 1\nmax_generations = 5\n"
+            "output_path = a.csv\n"
+        )
+        out = str(tmp_path / "b.csv")
+        rc = main(
+            ["--config", str(cfgfile), "--seed", "9", "--out", out, "sweep",
+             "--n", "40", "--lambdas", "8:16:8", "--mu-rule", "lam/4",
+             "--borders", "unrestricted", "--runs", "3", "--max-generations", "7"]
+        )
+        assert rc == 0
+        assert captured == [
+            SweepConfig(
+                n=40, lambda_values=(8, 16, 8), mu_rule="lam/4", borders=False,
+                runs_per_setting=3, master_seed=9, max_generations=7, output_path=out,
+            )
+        ]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--config", "{cfg}", "--threads", "1", "scaling", "--n-values", "24",
+             "--mu-rule", "4", "--runs", "1"],
+            ["--config", "{cfg}", "phase", "--n", "10", "--mu-small", "1",
+             "--mu-large", "2", "--runs", "1"],
+            ["--config", "{cfg}", "verify"],
+            ["--out", "{out}", "phase", "--n", "10", "--mu-small", "1",
+             "--mu-large", "2", "--runs", "1"],
+            ["--out", "{out}", "verify"],
+        ],
+    )
+    def test_global_flag_the_command_ignores_is_a_config_error(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        from umda import cli
+
+        def ran(*args, **kwargs):
+            raise AssertionError("the command ran")
+
+        for name in ("run_scaling_study", "run_phase_transition_probe", "run_all_checks"):
+            monkeypatch.setattr(cli, name, ran)
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text("no_such_key = 1\n")
+        out = tmp_path / "f.txt"
+        argv = [a.format(cfg=cfgfile, out=out) for a in argv]
+        assert main(argv) == 1
+        assert "does not apply to" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_config_exit_code(self):
         assert main(["--threads", "1", "sweep", "--n", "30",

@@ -125,12 +125,15 @@ class TestChunkBounds:
 
 class TestChunkLowerBound:
     def test_single_fair_trial(self):
-        assert verify_chunk_lower_bound([0.5], 0.25, 0.25) == pytest.approx(0.5)
+        table = poisson_binomial_pmf([0.5])
+        bounds = chunk_bounds(table, 0.25, 0.25)
+        assert verify_chunk_lower_bound(table, bounds) == pytest.approx(0.5)
 
     def test_large_uniform_instance(self):
         # near-normal regime: sigma * pmf around the mode is ~0.4; the chunk
         # edges sit at ~0.67 sigma where the value measured 0.312
-        value = verify_chunk_lower_bound([0.5] * 400, 0.25, 0.25)
+        table = poisson_binomial_pmf([0.5] * 400)
+        value = verify_chunk_lower_bound(table, chunk_bounds(table, 0.25, 0.25))
         assert value >= 0.3
 
 

@@ -152,30 +152,3 @@ def test_stream_independence_lag0():
     agreements = int(np.count_nonzero(a == b))
     z = (agreements - n / 2) / (np.sqrt(n) / 2)
     assert abs(z) <= 4.0
-
-
-def test_bernoulli_degenerate():
-    gen = Pcg32(3, 0)
-    assert all(gen.bernoulli(0.0) == 0 for _ in range(100))
-    assert all(gen.bernoulli(1.0) == 1 for _ in range(100))
-
-
-def test_bernoulli_frequency():
-    gen = Pcg32(4, 0)
-    draws = sum(gen.bernoulli(0.3) for _ in range(10**5))
-    assert abs(draws / 10**5 - 0.3) <= 0.01
-
-
-@pytest.mark.parametrize("p", [-0.1, 1.1, 2.0])
-def test_bernoulli_rejects_bad_probability(p):
-    with pytest.raises(ValueError):
-        Pcg32(1, 0).bernoulli(p)
-
-
-def test_mapping_to_unit_interval():
-    gen = Pcg32(9, 9)
-    peek = Pcg32(9, 9)
-    for _ in range(100):
-        expected = peek.next_u32() / 2**32
-        assert gen.random() == expected
-        assert 0.0 <= expected < 1.0
