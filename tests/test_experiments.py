@@ -58,6 +58,16 @@ class TestFormatting:
         first = path.read_text().split("\n")[0]
         assert first.startswith("lambda;")
 
+    def test_round_trip(self, tmp_path):
+        rows = [
+            SweepRow(20, 41000.0, 350.2, 1.0, 2050.0),
+            SweepRow(24, 39875.5, 210.25, 0.995, 1661.5),
+        ]
+        path = tmp_path / "rt.csv"
+        emit_csv(rows, str(path))
+        fields_ = [line.split(";") for line in path.read_text().splitlines()]
+        assert [SweepRow(int(f[0]), *map(float, f[1:])) for f in fields_] == rows
+
 
 class TestRules:
     def test_lam_half(self):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from umda import rng
+from umda.bitmodel import FrequencyVector, sample_population
 from umda.rng import CHUNK, Pcg32
 
 # First six outputs of the published PCG32 (XSH-RR 64/32) reference for
@@ -152,3 +153,36 @@ def test_stream_independence_lag0():
     agreements = int(np.count_nonzero(a == b))
     z = (agreements - n / 2) / (np.sqrt(n) / 2)
     assert abs(z) <= 4.0
+
+
+def _bernoulli_draws(p, count, seed, stream):
+    """``count`` draws of the threshold rule u / 2^32 < p on one stream."""
+    model = FrequencyVector(np.array([p]), borders=False, n=1)
+    return sample_population(model, count, Pcg32(seed, stream)).bits[:, 0]
+
+
+def test_bernoulli_degenerate():
+    assert not _bernoulli_draws(0.0, 100, 3, 0).any()
+    assert _bernoulli_draws(1.0, 100, 3, 0).all()
+
+
+def test_bernoulli_frequency():
+    draws = _bernoulli_draws(0.3, 10**5, 4, 0)
+    assert abs(float(draws.mean()) - 0.3) <= 0.01
+
+
+@pytest.mark.parametrize("p", [-0.1, 1.1, 2.0])
+def test_bernoulli_rejects_bad_probability(p):
+    with pytest.raises(ValueError):
+        _bernoulli_draws(p, 1, 1, 0)
+
+
+def test_mapping_to_unit_interval():
+    probs = np.linspace(0.0, 1.0, 100)
+    model = FrequencyVector(probs, borders=False, n=100)
+    bits = sample_population(model, 1, Pcg32(9, 9)).bits[0]
+    peek = Pcg32(9, 9)
+    for i in range(100):
+        u = peek.next_u32() / 2**32
+        assert 0.0 <= u < 1.0
+        assert bits[i] == (u < probs[i])
