@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Scaling studies for the two parent-count regimes.
 
-Above the phase transition (mu ~ 3 sqrt(n) log n) the generation count
-grows like sqrt(n); below it (mu ~ 5 log n, borders on) it grows roughly
-linearly in n."""
+Both run lambda = 2 mu.  Above the phase transition (mu ~ 3 sqrt(n) log n)
+the generation count grows like sqrt(n); below it (mu ~ 5 log n, borders
+on) it grows roughly linearly in n."""
 
 import sys
 
@@ -17,7 +17,6 @@ if __name__ == "__main__":
             "scaling",
             "--n-values", "64,256,1024",
             "--mu-rule", "ceil(3*sqrt(n)*log(n))",
-            "--lambda-rule", "2*mu",
             "--runs", "50",
         ]
     )
@@ -30,7 +29,6 @@ if __name__ == "__main__":
                 "scaling",
                 "--n-values", "128,512,2048",
                 "--mu-rule", "ceil(5*log(n))",
-                "--lambda-rule", "2*mu",
                 "--runs", "50",
             ]
         )

@@ -30,25 +30,25 @@ class FrequencyVector:
 
     values: np.ndarray
     borders: bool
-    n: int
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", values)
-        if values.shape != (self.n,):
-            raise ValueError(f"expected {self.n} frequencies, got {values.shape}")
-        if self.borders:
-            lo, hi = 1.0 / self.n, 1.0 - 1.0 / self.n
-            if np.any(values < lo) or np.any(values > hi):
-                raise ValueError("frequencies outside [1/n, 1 - 1/n]")
-        elif np.any(values < 0.0) or np.any(values > 1.0):
-            raise ValueError("frequencies outside [0, 1]")
+        if values.ndim != 1 or values.size == 0:
+            raise ValueError(f"expected a non-empty 1-d array, got shape {values.shape}")
+        lo, hi = self.lower_limit, self.upper_limit
+        if np.any(values < lo) or np.any(values > hi):
+            raise ValueError(f"frequencies outside [{lo}, {hi}]")
         values.flags.writeable = False
 
     @classmethod
     def uniform(cls, n: int, borders: bool = True) -> "FrequencyVector":
         """The starting model: every frequency at 1/2."""
-        return cls(np.full(n, 0.5), borders, n)
+        return cls(np.full(n, 0.5), borders)
+
+    @property
+    def n(self) -> int:
+        return self.values.size
 
     @property
     def lower_limit(self) -> float:

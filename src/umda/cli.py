@@ -29,6 +29,15 @@ EXIT_CONFIG = 1
 EXIT_IO = 2
 EXIT_VERIFY = 3
 
+#: The commands that read each global flag, keyed by the flag's argparse
+#: dest; any other command rejects the flag instead of ignoring it.
+GLOBAL_FLAGS = {
+    "master_seed": ("--seed", ("sweep", "scaling", "phase")),
+    "threads": ("--threads", ("sweep", "scaling", "phase")),
+    "output_path": ("--out", ("sweep", "scaling")),
+    "config": ("--config", ("sweep",)),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -66,10 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--max-generations", default=None)
     sweep.add_argument("--header", action="store_true", help="write a header line")
 
-    scaling = sub.add_parser("scaling", help="median generations vs problem size")
+    scaling = sub.add_parser("scaling", help="median generations vs n, lambda = 2*mu")
     scaling.add_argument("--n-values", required=True, help="e.g. 64,256,1024")
     scaling.add_argument("--mu-rule", required=True, help="e.g. ceil(3*sqrt(n)*log(n))")
-    scaling.add_argument("--lambda-rule", default="2*mu")
     scaling.add_argument("--runs", type=int, default=50)
     scaling.add_argument(
         "--borders", choices=["restricted", "unrestricted"], default="restricted"
@@ -129,7 +137,6 @@ def _cmd_scaling(args) -> int:
     result = run_scaling_study(
         n_values,
         mu_rule=args.mu_rule,
-        lambda_rule=args.lambda_rule,
         runs=args.runs,
         master_seed=args.master_seed or 0,
         borders=args.borders == "restricted",
@@ -185,10 +192,9 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
     }
     try:
-        if args.config is not None and args.command != "sweep":
-            raise ValueError(f"--config does not apply to {args.command}")
-        if args.output_path is not None and args.command in ("phase", "verify"):
-            raise ValueError(f"--out does not apply to {args.command}")
+        for dest, (flag, commands) in GLOBAL_FLAGS.items():
+            if getattr(args, dest) is not None and args.command not in commands:
+                raise ValueError(f"{flag} does not apply to {args.command}")
         return handlers[args.command](args)
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

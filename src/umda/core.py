@@ -99,35 +99,33 @@ def select_mu_best(pop: Population, mu: int, rng: Pcg32) -> Population:
     return Population(bits=pop.bits[chosen], fitness=pop.fitness[chosen])
 
 
-def update_frequencies(
-    selected: Population, mu: int, borders: bool, n: int
-) -> UpdateResult:
-    """Set each frequency to (ones at the position among selected) / mu.
+def update_frequencies(selected: Population, borders: bool) -> UpdateResult:
+    """Set each frequency to (ones at the position among selected) / mu,
+    where mu is the number of selected individuals and n their length.
 
     Border hits are detected on the raw counts with exact integer
     comparisons (count * n < mu, count * n > mu * (n - 1)) before capping.
     """
-    if len(selected) != mu:
-        raise ValueError(f"expected exactly mu={mu} individuals, got {len(selected)}")
+    mu, n = len(selected), selected.n
     counts = selected.bits.sum(axis=0, dtype=np.int64)
     lower_hits = counts * n < mu
     upper_hits = counts * n > mu * (n - 1)
     values = counts / mu
     if borders:
         np.clip(values, 1.0 / n, 1.0 - 1.0 / n, out=values)
-    return UpdateResult(FrequencyVector(values, borders, n), lower_hits, upper_hits)
+    return UpdateResult(FrequencyVector(values, borders), lower_hits, upper_hits)
 
 
 def step(p: FrequencyVector, mu: int, lam: int, rng: Pcg32) -> StepResult:
     """One generation from ``p``: sample lam offspring, keep the mu best, and
-    update the frequencies, with the borders and n of ``p``.
+    update the frequencies, with the borders of ``p``.
 
     This is the only place the three stages are chained; the run loop, the
     level decomposition and the one-step oracles all go through it.
     """
     pop = sample_population(p, lam, rng)
     selected = select_mu_best(pop, mu, rng)
-    return StepResult(pop, selected, update_frequencies(selected, mu, p.borders, p.n))
+    return StepResult(pop, selected, update_frequencies(selected, p.borders))
 
 
 def run(cfg: UmdaConfig) -> RunResult:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import ast
 import math
+import operator
 import os
 from concurrent import futures
 from dataclasses import MISSING, dataclass, fields
@@ -92,7 +93,7 @@ def export_trajectory(telemetry: RunTelemetry, path: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# parameter rules (small arithmetic expressions over n / lam / mu)
+# parameter rules (small arithmetic expressions over n and lam)
 
 _RULE_FUNCTIONS = {
     "sqrt": math.sqrt,
@@ -104,7 +105,16 @@ _RULE_FUNCTIONS = {
     "max": max,
 }
 
-_ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Pow)
+_RULE_OPERATORS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.FloorDiv: operator.floordiv,
+    ast.Pow: operator.pow,
+    ast.USub: operator.neg,
+    ast.UAdd: operator.pos,
+}
 
 
 def evaluate_rule(expr: str, **variables: float) -> float:
@@ -123,23 +133,11 @@ def evaluate_rule(expr: str, **variables: float) -> float:
             if node.id in variables:
                 return variables[node.id]
             raise ValueError(f"unknown name {node.id!r} in rule {expr!r}")
-        if isinstance(node, ast.BinOp) and isinstance(node.op, _ALLOWED_BINOPS):
-            left, right = ev(node.left), ev(node.right)
-            op = node.op
-            if isinstance(op, ast.Add):
-                return left + right
-            if isinstance(op, ast.Sub):
-                return left - right
-            if isinstance(op, ast.Mult):
-                return left * right
-            if isinstance(op, ast.Div):
-                return left / right
-            if isinstance(op, ast.FloorDiv):
-                return left // right
-            return left**right
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            value = ev(node.operand)
-            return -value if isinstance(node.op, ast.USub) else value
+        op = _RULE_OPERATORS.get(type(getattr(node, "op", None)))
+        if isinstance(node, ast.BinOp) and op:
+            return op(ev(node.left), ev(node.right))
+        if isinstance(node, ast.UnaryOp) and op:
+            return op(ev(node.operand))
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
             fn = _RULE_FUNCTIONS.get(node.func.id)
             if fn is None or node.keywords:
@@ -353,21 +351,19 @@ class ScalingResult:
 def run_scaling_study(
     n_values,
     mu_rule: str,
-    lambda_rule: str = "2*mu",
     runs: int = 50,
     master_seed: int = 0,
     borders: bool = True,
     max_generations: int | None = None,
     threads: int | None = None,
 ) -> ScalingResult:
-    """Median generations per problem size plus a log-log slope fit."""
+    """Median generations per problem size, with lambda = 2 * mu, plus a
+    log-log slope fit."""
     n_values = list(n_values)
     if any(a >= b for a, b in zip(n_values, n_values[1:])):
         raise ValueError(f"n_values must be strictly increasing, got {n_values}")
-    settings = []
-    for n in n_values:
-        mu = int_rule(mu_rule, n=n)
-        settings.append((n, {"n": n, "mu": mu, "lam": int_rule(lambda_rule, n=n, mu=mu)}))
+    mus = [int_rule(mu_rule, n=n) for n in n_values]
+    settings = [(n, {"n": n, "mu": mu, "lam": 2 * mu}) for n, mu in zip(n_values, mus)]
     batches = run_batch(
         settings, runs, master_seed, threads, borders=borders, max_generations=max_generations
     )

@@ -27,7 +27,6 @@ from .rng import Pcg32
 class LevelDecomposition:
     """Level counts and selection-bias bookkeeping for one population."""
 
-    focal_bit: int
     level_counts: np.ndarray        # C_i for level i in [0, n-1]
     counts_at_or_above: np.ndarray  # sum of level_counts from level i up
     cut_level: int                  # topmost level with > mu strictly below-or-at-cut mass
@@ -61,7 +60,6 @@ def decompose(pop: Population, mu: int, focal_bit: int) -> LevelDecomposition:
     cut = min(int(above_mu[-1]) + 1, n - 1)
     count_above_cut = int(at_or_above[cut])
     return LevelDecomposition(
-        focal_bit=focal_bit,
         level_counts=level_counts,
         counts_at_or_above=at_or_above,
         cut_level=cut,

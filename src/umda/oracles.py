@@ -47,8 +47,6 @@ class PmfTable:
 class ChunkBounds:
     """Central chunk [k_lo, k_hi] cutting tail mass ell below and u above."""
 
-    ell: float
-    u: float
     k_lo: int
     k_hi: int
 
@@ -83,7 +81,7 @@ def chunk_bounds(table: PmfTable, ell: float, u: float) -> ChunkBounds:
     k_lo = int(np.argmax(table.cdf() >= ell))
     sf = table.sf()
     k_hi = int(np.nonzero(sf >= u)[0][-1])
-    return ChunkBounds(ell=ell, u=u, k_lo=k_lo, k_hi=k_hi)
+    return ChunkBounds(k_lo=k_lo, k_hi=k_hi)
 
 
 def chunk_coverage(table: PmfTable, bounds: ChunkBounds) -> float:
@@ -141,7 +139,7 @@ def empirical_step_drift(
         raise ValueError(f"need 0 <= x_t <= mu, got x_t={x_t} mu={mu}")
     values = p.values.copy()
     values[focal_bit] = x_t / mu
-    pinned = FrequencyVector(values, p.borders, p.n)
+    pinned = FrequencyVector(values, p.borders)
     x_next = focal_one_counts(pinned, mu, lam, focal_bit, trials, rng)
     deltas = x_next - x_t
     mean = float(deltas.mean())

@@ -236,7 +236,7 @@ def check_dominance(
         rng = Pcg32(seed, x_t)
         values = np.full(n, 0.5)
         values[0] = x_t / mu
-        p = FrequencyVector(values, borders=True, n=n)
+        p = FrequencyVector(values, borders=True)
         samples = focal_one_counts(p, mu, lam, 0, trials, rng)
         ecdf = np.cumsum(np.bincount(samples, minlength=mu + 1)) / trials
         bin_cdf = np.cumsum(binomial_pmf(mu, x_t / mu))
@@ -260,7 +260,7 @@ def check_drift_sign(
 ) -> CheckResult:
     """Selection pushes the focal one-count up: mean one-step drift > 0."""
     rng = Pcg32(seed, 0)
-    p = FrequencyVector(np.full(n, 0.5), borders=True, n=n)
+    p = FrequencyVector.uniform(n, borders=True)
     mean, stderr = empirical_step_drift(p, mu, lam, 0, x_t, trials, rng)
     z = mean / stderr if stderr > 0 else math.inf
     return CheckResult(

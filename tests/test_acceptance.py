@@ -121,7 +121,6 @@ def test_07_scaling_above_transition():
     result = run_scaling_study(
         [64, 256, 1024],
         mu_rule="ceil(3*sqrt(n)*log(n))",
-        lambda_rule="2*mu",
         runs=50,
         master_seed=7,
     )
@@ -140,7 +139,6 @@ def test_08_scaling_below_transition():
     result = run_scaling_study(
         [128, 512, 2048],
         mu_rule="ceil(5*log(n))",
-        lambda_rule="2*mu",
         runs=50,
         master_seed=8,
         borders=True,

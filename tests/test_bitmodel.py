@@ -28,18 +28,24 @@ class TestFrequencyVector:
 
     def test_restricted_bounds_enforced(self):
         with pytest.raises(ValueError):
-            FrequencyVector(np.array([0.0, 0.5]), borders=True, n=2)
+            FrequencyVector(np.array([0.0, 0.5]), borders=True)
         with pytest.raises(ValueError):
-            FrequencyVector(np.array([0.5, 1.0]), borders=True, n=2)
+            FrequencyVector(np.array([0.5, 1.0]), borders=True)
 
     def test_unrestricted_allows_absorbing_values(self):
-        p = FrequencyVector(np.array([0.0, 1.0, 0.5]), borders=False, n=3)
+        p = FrequencyVector(np.array([0.0, 1.0, 0.5]), borders=False)
         assert p.lower_limit == 0.0
         assert p.upper_limit == 1.0
 
     def test_unrestricted_bounds_enforced(self):
         with pytest.raises(ValueError):
-            FrequencyVector(np.array([-0.1, 0.5]), borders=False, n=2)
+            FrequencyVector(np.array([-0.1, 0.5]), borders=False)
+
+    def test_values_must_be_a_nonempty_row(self):
+        with pytest.raises(ValueError):
+            FrequencyVector(np.full((2, 3), 0.5), borders=False)
+        with pytest.raises(ValueError):
+            FrequencyVector(np.array([]), borders=False)
 
     def test_values_read_only(self):
         p = FrequencyVector.uniform(4)
@@ -48,10 +54,10 @@ class TestFrequencyVector:
 
 
 def test_sample_all_ones_and_all_zeros():
-    p1 = FrequencyVector(np.ones(12), borders=False, n=12)
+    p1 = FrequencyVector(np.ones(12), borders=False)
     ind = sample_population(p1, 1, Pcg32(1, 0))
     assert ind.fitness[0] == 12 and np.all(ind.bits)
-    p0 = FrequencyVector(np.zeros(12), borders=False, n=12)
+    p0 = FrequencyVector(np.zeros(12), borders=False)
     ind = sample_population(p0, 1, Pcg32(1, 0))
     assert ind.fitness[0] == 0 and not np.any(ind.bits)
 
@@ -63,7 +69,7 @@ def test_sample_mean_fitness_near_half_n():
 
 
 def test_population_matches_sequential_individuals():
-    p = FrequencyVector(np.linspace(0.1, 0.9, 20), borders=False, n=20)
+    p = FrequencyVector(np.linspace(0.1, 0.9, 20), borders=False)
     pop = sample_population(p, 7, Pcg32(9, 3))
     solo = Pcg32(9, 3)
     for j in range(7):
@@ -74,7 +80,7 @@ def test_population_matches_sequential_individuals():
 
 def test_multi_chunk_population_matches_single_rows():
     # 20 rows of n=2000 draw 40k u32, several chunks of one block
-    p = FrequencyVector(np.linspace(0.05, 0.95, 2000), borders=False, n=2000)
+    p = FrequencyVector(np.linspace(0.05, 0.95, 2000), borders=False)
     pop = sample_population(p, 20, Pcg32(10, 7))
     solo = Pcg32(10, 7)
     for j in range(20):
@@ -107,7 +113,7 @@ def test_fitness_symmetric_around_half():
 
 def test_per_position_frequencies():
     values = np.array([0.1, 0.25, 0.5, 0.75, 0.9])
-    p = FrequencyVector(values, borders=False, n=5)
+    p = FrequencyVector(values, borders=False)
     pop = sample_population(p, 20000, Pcg32(8, 0))
     freq = pop.bits.mean(axis=0)
     # 5 sigma of Bernoulli(p) / sqrt(20000)
@@ -118,7 +124,7 @@ def test_per_position_frequencies():
 def test_onemax_distribution_matches_poisson_binomial():
     rng = Pcg32(123, 0)
     values = np.array([0.12, 0.3, 0.5, 0.44, 0.81, 0.66, 0.25, 0.9, 0.5, 0.37])
-    p = FrequencyVector(values, borders=False, n=10)
+    p = FrequencyVector(values, borders=False)
     pop = sample_population(p, 10**5, rng)
     observed = np.bincount(pop.fitness, minlength=11).astype(float)
     expected = poisson_binomial_pmf(values).pmf * 10**5

@@ -2,7 +2,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
@@ -68,17 +68,13 @@ class TestSelection:
 class TestUpdate:
     def test_relative_occurrence(self):
         rows = [[1, 0]] * 3 + [[0, 0]] * 7
-        upd = update_frequencies(
-            make_population(rows, width=100), 10, borders=True, n=100
-        )
+        upd = update_frequencies(make_population(rows, width=100), borders=True)
         assert upd.frequencies.values[0] == pytest.approx(0.3)
         assert not upd.lower_hits[0]
 
     def test_lower_border_capped_and_recorded(self):
         rows = [[0, 1]] * 10
-        upd = update_frequencies(
-            make_population(rows, width=20), 10, borders=True, n=20
-        )
+        upd = update_frequencies(make_population(rows, width=20), borders=True)
         assert upd.frequencies.values[0] == pytest.approx(1 / 20)
         assert upd.lower_hits[0] and not upd.upper_hits[0]
         # the all-ones column overshoots 1 - 1/20 and is capped there
@@ -87,24 +83,16 @@ class TestUpdate:
 
     def test_unrestricted_keeps_absorbing_value(self):
         rows = [[0, 1]] * 10
-        upd = update_frequencies(
-            make_population(rows, width=20), 10, borders=False, n=20
-        )
+        upd = update_frequencies(make_population(rows, width=20), borders=False)
         assert upd.frequencies.values[0] == 0.0
         assert upd.frequencies.values[1] == 1.0
 
     def test_exact_border_value_is_not_a_hit(self):
         # raw value exactly 1/n (count * n == mu) stays put and counts no hit
         rows = [[1]] + [[0]] * 19
-        upd = update_frequencies(
-            make_population(rows, width=20), 20, borders=True, n=20
-        )
+        upd = update_frequencies(make_population(rows, width=20), borders=True)
         assert upd.frequencies.values[0] == pytest.approx(1 / 20)
         assert not upd.lower_hits[0]
-
-    def test_wrong_cardinality_rejected(self):
-        with pytest.raises(ValueError):
-            update_frequencies(make_population([[1], [0]]), 3, borders=True, n=4)
 
 
 class TestStep:
@@ -261,14 +249,16 @@ class TestRun:
 
 
 @given(
-    n=st.integers(2, 16),
+    n=st.integers(1, 16),
     mu=st.integers(1, 6),
     extra=st.integers(1, 8),
     seed=st.integers(0, 2**32 - 1),
     borders=st.booleans(),
 )
+@example(n=1, mu=3, extra=1, seed=0, borders=False)
 @settings(max_examples=30, deadline=None)
 def test_run_invariants_random_configs(n, mu, extra, seed, borders):
+    assume(n >= 2 or not borders)
     cfg = UmdaConfig(
         n=n, mu=mu, lam=mu + extra, borders=borders,
         master_seed=seed, max_generations=30,
@@ -277,6 +267,12 @@ def test_run_invariants_random_configs(n, mu, extra, seed, borders):
     if result.verdict == "stagnated":
         assert not borders
     assert result.evaluations == cfg.lam * result.generations
-    assert len(result.telemetry.per_generation) == result.generations
-    total = sum(s.lower_border_hits for s in result.telemetry.per_generation)
-    assert total == result.telemetry.total_lower_border_hits
+    tel = result.telemetry
+    assert len(tel.per_generation) == result.generations
+    assert sum(s.lower_border_hits for s in tel.per_generation) == tel.total_lower_border_hits
+    assert sum(s.upper_border_hits for s in tel.per_generation) == tel.total_upper_border_hits
+    v = result.final_frequencies.values
+    on_grid = np.round(v * mu) / mu == v
+    if borders:
+        on_grid |= (v == 1 / n) | (v == 1 - 1 / n)
+    assert on_grid.all()

@@ -94,6 +94,16 @@ class TestRules:
         with pytest.raises(ValueError):
             evaluate_rule("lam/", lam=4)
 
+    def test_each_operator(self):
+        assert evaluate_rule("n - lam", n=10, lam=4) == 6
+        assert evaluate_rule("n // lam", n=10, lam=4) == 2
+        assert evaluate_rule("lam ** 2", lam=3) == 9
+        assert evaluate_rule("-n + +lam", n=10, lam=4) == -6
+        with pytest.raises(ValueError):
+            evaluate_rule("n % 3", n=10)
+        with pytest.raises(ValueError):
+            evaluate_rule("max(n, key=abs)", n=10)
+
 
 class TestStreams:
     def test_injective_over_grid(self):
@@ -332,6 +342,8 @@ class TestCli:
             ["--out", "{out}", "phase", "--n", "10", "--mu-small", "1",
              "--mu-large", "2", "--runs", "1"],
             ["--out", "{out}", "verify"],
+            ["--seed", "5", "verify"],
+            ["--threads", "3", "verify"],
         ],
     )
     def test_global_flag_the_command_ignores_is_a_config_error(

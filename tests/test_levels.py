@@ -84,7 +84,7 @@ def test_invariants_on_random_populations(n, mu, extra, seed, data):
     focal = data.draw(st.integers(0, n - 1))
     rng = Pcg32(seed, 0)
     pvals = rng.next_u32_block(n) / 2**32
-    p = FrequencyVector(pvals, borders=False, n=n)
+    p = FrequencyVector(pvals, borders=False)
     pop = sample_population(p, lam, rng)
     dec = decompose(pop, mu, focal)
     assert int(dec.level_counts.sum()) == lam
@@ -139,7 +139,7 @@ class TestSecondClassDistribution:
         # frozen regression floor: measured ratio ~0.40 of mu/sigma at the
         # uniform model (one-time calibration), bound set at 0.3
         n, mu, lam = 50, 50, 100
-        p = FrequencyVector(np.full(n, 0.5), borders=True, n=n)
+        p = FrequencyVector(np.full(n, 0.5), borders=True)
         open_slots, _ = second_class_count_distribution(
             p, mu, lam, 0, trials=10_000, rng=Pcg32(201, 0)
         )
@@ -150,7 +150,7 @@ class TestSecondClassDistribution:
         # sigma = O(1) regime: mean open slots is a constant fraction of mu
         # (measured ~0.26 mu, frozen floor 0.2 mu)
         n, mu, lam = 50, 50, 100
-        p = FrequencyVector(np.full(n, 1 - 1 / n), borders=True, n=n)
+        p = FrequencyVector(np.full(n, 1 - 1 / n), borders=True)
         open_slots, _ = second_class_count_distribution(
             p, mu, lam, 0, trials=10_000, rng=Pcg32(202, 0)
         )

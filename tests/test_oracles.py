@@ -185,14 +185,14 @@ class TestCappedBinomial:
 
 class TestEmpiricalStepDrift:
     def test_absorbed_at_one_has_zero_drift(self):
-        p = FrequencyVector(np.full(20, 0.5), borders=False, n=20)
+        p = FrequencyVector(np.full(20, 0.5), borders=False)
         mean, stderr = empirical_step_drift(
             p, mu=5, lam=10, focal_bit=0, x_t=5, trials=200, rng=Pcg32(41, 0)
         )
         assert mean == 0.0 and stderr == 0.0
 
     def test_absorbed_at_zero_has_zero_drift(self):
-        p = FrequencyVector(np.full(20, 0.5), borders=False, n=20)
+        p = FrequencyVector(np.full(20, 0.5), borders=False)
         mean, stderr = empirical_step_drift(
             p, mu=5, lam=10, focal_bit=0, x_t=0, trials=200, rng=Pcg32(42, 0)
         )
@@ -200,7 +200,7 @@ class TestEmpiricalStepDrift:
 
     def test_drift_positive_at_half(self):
         n = 50
-        p = FrequencyVector(np.full(n, 0.5), borders=True, n=n)
+        p = FrequencyVector(np.full(n, 0.5), borders=True)
         mean, stderr = empirical_step_drift(
             p, mu=50, lam=100, focal_bit=0, x_t=25, trials=2000, rng=Pcg32(43, 0)
         )

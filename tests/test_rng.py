@@ -157,7 +157,7 @@ def test_stream_independence_lag0():
 
 def _bernoulli_draws(p, count, seed, stream):
     """``count`` draws of the threshold rule u / 2^32 < p on one stream."""
-    model = FrequencyVector(np.array([p]), borders=False, n=1)
+    model = FrequencyVector(np.array([p]), borders=False)
     return sample_population(model, count, Pcg32(seed, stream)).bits[:, 0]
 
 
@@ -179,7 +179,7 @@ def test_bernoulli_rejects_bad_probability(p):
 
 def test_mapping_to_unit_interval():
     probs = np.linspace(0.0, 1.0, 100)
-    model = FrequencyVector(probs, borders=False, n=100)
+    model = FrequencyVector(probs, borders=False)
     bits = sample_population(model, 1, Pcg32(9, 9)).bits[0]
     peek = Pcg32(9, 9)
     for i in range(100):

@@ -13,7 +13,7 @@ from umda.telemetry import potential, record_generation, sampling_variance
 
 def vector(values, borders=False):
     values = np.asarray(values, dtype=float)
-    return FrequencyVector(values, borders=borders, n=values.size)
+    return FrequencyVector(values, borders=borders)
 
 
 def test_sampling_variance_hand_values():
@@ -69,7 +69,7 @@ def test_record_counts_border_events():
     n = 10
     values = np.full(n, 0.5)
     values[3] = 1 / n
-    p = FrequencyVector(values, borders=True, n=n)
+    p = FrequencyVector(values, borders=True)
     lower = np.zeros(n, dtype=bool)
     lower[3] = True
     stats = make_stats(p, lower=lower)
