@@ -19,6 +19,11 @@ from umda.experiments import (
     run_phase_transition_probe,
     run_sweep,
 )
+from umda.verification import (
+    check_decomposition_invariants,
+    check_dominance,
+    check_drift_sign,
+)
 
 
 def digest(data: bytes) -> str:
@@ -75,3 +80,17 @@ def test_phase_probe_fractions():
     small, large = run_phase_transition_probe(40, 5, 12, runs=20, master_seed=4, threads=1)
     assert (small.stagnated_fraction, small.success_fraction) == (1.0, 0.0)
     assert (large.stagnated_fraction, large.success_fraction) == pytest.approx((0.55, 0.45))
+
+
+def test_verify_path_summary_digest():
+    # the decomposition walk and the focal single-step trials behind the
+    # dominance and drift checks, at reduced sizes and their default seeds
+    results = (
+        check_decomposition_invariants(generations=600),
+        check_dominance(trials=2000),
+        check_drift_sign(trials=2000),
+    )
+    text = "\n".join(r.summary() for r in results)
+    assert digest(text.encode()) == (
+        "1d0964f6534bf058d943ac6b6b95fee4c92cd939dd0b78a5e760ac56499a9b0b"
+    )
