@@ -4,7 +4,7 @@ Modules
 -------
 rng           deterministic PCG32 generation (scalar and vectorized blocks), stream ids
 bitmodel      bit strings, OneMax fitness, frequency vectors, sampling
-core          generation loop, selection, frequency update, run driver
+core          one generation as sample_and_select, then update_frequencies; run driver
 telemetry     per-generation sampling variance / potential / border hits
 levels        ranking by all-but-one bits: cut level, candidates, classes
 oracles       exact Poisson-binomial and capped-binomial computations
@@ -12,13 +12,13 @@ experiments   batch driver, sweeps, scaling studies, phase probes, CSV emission
 verification  oracle-backed check suite behind the `verify` CLI subcommand
 """
 
-from .bitmodel import FrequencyVector, Population, onemax, sample_population
+from .bitmodel import FrequencyVector, Population, sample_population
 from .core import (
     RunResult,
     UmdaConfig,
     run,
+    sample_and_select,
     select_mu_best,
-    step,
     update_frequencies,
 )
 from .rng import Pcg32
@@ -32,12 +32,11 @@ __all__ = [
     "RunResult",
     "RunTelemetry",
     "UmdaConfig",
-    "onemax",
     "potential",
     "run",
+    "sample_and_select",
     "sample_population",
     "sampling_variance",
     "select_mu_best",
-    "step",
     "update_frequencies",
 ]

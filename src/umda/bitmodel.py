@@ -15,11 +15,6 @@ import numpy as np
 from .rng import Pcg32, TWO_POW_32
 
 
-def onemax(x) -> int:
-    """Number of 1-bits in x."""
-    return int(np.count_nonzero(np.asarray(x)))
-
-
 @dataclass(frozen=True)
 class FrequencyVector:
     """The probabilistic model: per-position probabilities of sampling a 1.

@@ -1,12 +1,12 @@
-"""The UMDA generation loop and run-to-optimum driver.
+"""The UMDA generation kernel and run-to-optimum driver.
 
-One generation: sample lambda offspring from the frequency vector, keep the
-mu fittest (ties broken uniformly at random via fresh 64-bit keys), set each
-frequency to the relative occurrence of 1s among the kept individuals, and
-cap into [1/n, 1 - 1/n] when borders are on.  Without borders (the UMDA*
-variant) a frequency that reaches 0 or 1 can never change again; a run is
-declared stagnated as soon as some frequency is absorbed at 0, which makes
-the all-ones optimum unsampleable.
+One generation in two halves: ``sample_and_select`` samples lambda offspring
+and keeps the mu fittest (ties broken uniformly at random via fresh 64-bit
+keys); ``update_frequencies``, which draws nothing, sets each frequency to
+the relative occurrence of 1s among the kept and caps into [1/n, 1 - 1/n]
+when borders are on.  Without borders (the UMDA* variant) a frequency that
+reaches 0 or 1 can never change again; a run is declared stagnated as soon
+as some frequency is absorbed at 0, making the all-ones optimum unsampleable.
 """
 
 from __future__ import annotations
@@ -49,6 +49,8 @@ class UmdaConfig:
             raise ValueError(f"need n >= 1, got {self.n}")
         if self.borders and self.n < 2:
             raise ValueError("borders [1/n, 1 - 1/n] need n >= 2")
+        if self.max_generations is not None and self.max_generations < 0:
+            raise ValueError(f"max_generations must be >= 0, got {self.max_generations}")
 
     @property
     def budget(self) -> int:
@@ -64,12 +66,6 @@ class UpdateResult(NamedTuple):
     frequencies: FrequencyVector
     lower_hits: np.ndarray  # bool mask: raw value strictly below 1/n
     upper_hits: np.ndarray  # bool mask: raw value strictly above 1 - 1/n
-
-
-class StepResult(NamedTuple):
-    population: Population  # the lambda sampled offspring
-    selected: Population    # the mu kept for the update
-    update: UpdateResult
 
 
 @dataclass
@@ -116,16 +112,14 @@ def update_frequencies(selected: Population, borders: bool) -> UpdateResult:
     return UpdateResult(FrequencyVector(values, borders), lower_hits, upper_hits)
 
 
-def step(p: FrequencyVector, mu: int, lam: int, rng: Pcg32) -> StepResult:
-    """One generation from ``p``: sample lam offspring, keep the mu best, and
-    update the frequencies, with the borders of ``p``.
-
-    This is the only place the three stages are chained; the run loop, the
-    level decomposition and the one-step oracles all go through it.
+def sample_and_select(
+    p: FrequencyVector, mu: int, lam: int, rng: Pcg32
+) -> tuple[Population, Population]:
+    """The first half of a generation: lam offspring sampled from ``p``, and
+    the mu best of them.  The only place sampling is chained to selection.
     """
     pop = sample_population(p, lam, rng)
-    selected = select_mu_best(pop, mu, rng)
-    return StepResult(pop, selected, update_frequencies(selected, p.borders))
+    return pop, select_mu_best(pop, mu, rng)
 
 
 def run(cfg: UmdaConfig) -> RunResult:
@@ -144,7 +138,8 @@ def run(cfg: UmdaConfig) -> RunResult:
     verdict: Verdict = "budget_exhausted"
     t = 0
     for t in range(1, cfg.budget + 1):
-        pop, _, upd = step(p, cfg.mu, cfg.lam, rng)
+        pop, selected = sample_and_select(p, cfg.mu, cfg.lam, rng)
+        upd = update_frequencies(selected, cfg.borders)
         p = upd.frequencies
         telemetry.total_lower_border_hits += int(np.count_nonzero(upd.lower_hits))
         telemetry.total_upper_border_hits += int(np.count_nonzero(upd.upper_hits))

@@ -149,7 +149,13 @@ def evaluate_rule(expr: str, **variables: float) -> float:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as exc:
         raise ValueError(f"cannot parse rule {expr!r}: {exc}") from exc
-    return float(ev(tree))
+    try:
+        value = float(ev(tree))
+    except ArithmeticError as exc:  # division by zero, overflow
+        raise ValueError(f"cannot evaluate rule {expr!r}: {exc}") from exc
+    if not math.isfinite(value):
+        raise ValueError(f"rule {expr!r} evaluates to {value}")
+    return value
 
 
 def int_rule(expr: str, **variables: float) -> int:
@@ -261,6 +267,9 @@ def run_batch(
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
+    threads = threads if threads is not None else (os.cpu_count() or 1)
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     configs = [
         UmdaConfig(
             **shared,
@@ -272,8 +281,7 @@ def run_batch(
         for setting, params in settings
         for k in range(runs)
     ]
-    threads = threads if threads is not None else (os.cpu_count() or 1)
-    if threads <= 1 or len(configs) <= 1:
+    if threads == 1 or len(configs) <= 1:
         summaries = [_run_summary(cfg) for cfg in configs]
     else:
         chunk = max(1, len(configs) // (8 * threads))

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitmodel import FrequencyVector, Population, sample_population
-from .core import step
+from .bitmodel import FrequencyVector, Population
+from .core import sample_and_select
 from .rng import Pcg32
 
 
@@ -73,30 +73,6 @@ def decompose(pop: Population, mu: int, focal_bit: int) -> LevelDecomposition:
     )
 
 
-def second_class_count_distribution(
-    p: FrequencyVector,
-    mu: int,
-    lam: int,
-    focal_bit: int,
-    trials: int,
-    rng: Pcg32,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo sample of (open_slots, surplus_candidates) pairs.
-
-    Repeatedly samples a fresh population from ``p`` and decomposes it;
-    the open-slot mean scales like mu over the sampling standard deviation.
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    open_slots = np.empty(trials, dtype=np.int64)
-    surplus = np.empty(trials, dtype=np.int64)
-    for i in range(trials):
-        dec = decompose(sample_population(p, lam, rng), mu, focal_bit)
-        open_slots[i] = dec.open_slots
-        surplus[i] = dec.surplus_candidates
-    return open_slots, surplus
-
-
 def focal_one_counts(
     p: FrequencyVector,
     mu: int,
@@ -107,11 +83,12 @@ def focal_one_counts(
 ) -> np.ndarray:
     """Ones at the focal position among the mu selected, per single step.
 
-    Each trial runs one independent ``step`` from the same frequency
-    vector; the result is the next-generation one-count
-    X_{t+1} whose distribution the dominance and drift checks examine.
+    Each trial runs one independent ``sample_and_select`` from ``p``, with
+    no update; the result is the next-generation one-count X_{t+1} whose
+    distribution the dominance and drift checks examine.
     """
     out = np.empty(trials, dtype=np.int64)
     for i in range(trials):
-        out[i] = int(step(p, mu, lam, rng).selected.bits[:, focal_bit].sum())
+        _, selected = sample_and_select(p, mu, lam, rng)
+        out[i] = int(selected.bits[:, focal_bit].sum())
     return out

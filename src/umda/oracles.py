@@ -129,7 +129,7 @@ def empirical_step_drift(
     trials: int,
     rng: Pcg32,
 ) -> tuple[float, float]:
-    """(mean, stderr) of X_{t+1} - X_t over full single generations.
+    """(mean, stderr) of X_{t+1} - X_t over single sample-and-select steps.
 
     The focal frequency is pinned to x_t / mu; all other positions keep the
     values from ``p``.  X_{t+1} counts ones at the focal position among the

@@ -4,9 +4,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
-from umda.bitmodel import FrequencyVector, onemax, sample_population
+from umda.bitmodel import FrequencyVector, sample_population
 from umda.oracles import poisson_binomial_pmf
 from umda.rng import Pcg32
+
+
+def onemax(bits) -> int:
+    """OneMax fitness of ``bits``, as sampled from the borderless 0/1 model
+    that can only produce them."""
+    p = FrequencyVector(np.asarray(bits, dtype=np.float64), borders=False)
+    ind = sample_population(p, 1, Pcg32(0, 0))
+    assert ind.bits[0].tolist() == [bool(b) for b in bits]
+    return int(ind.fitness[0])
 
 
 def test_onemax_basics():

@@ -10,8 +10,8 @@ from umda.bitmodel import FrequencyVector, Population
 from umda.core import (
     UmdaConfig,
     run,
+    sample_and_select,
     select_mu_best,
-    step,
     update_frequencies,
 )
 from umda.rng import Pcg32
@@ -96,19 +96,24 @@ class TestUpdate:
 
 
 class TestStep:
+    """One generation step: sample_and_select, then update_frequencies."""
+
     def test_deterministic(self):
         p = FrequencyVector.uniform(20)
-        a = step(p, 10, 20, Pcg32(5, 1))
-        b = step(p, 10, 20, Pcg32(5, 1))
-        assert np.array_equal(a.update.frequencies.values, b.update.frequencies.values)
-        assert np.array_equal(a.population.bits, b.population.bits)
+        pop_a, sel_a = sample_and_select(p, 10, 20, Pcg32(5, 1))
+        pop_b, sel_b = sample_and_select(p, 10, 20, Pcg32(5, 1))
+        assert np.array_equal(
+            update_frequencies(sel_a, p.borders).frequencies.values,
+            update_frequencies(sel_b, p.borders).frequencies.values,
+        )
+        assert np.array_equal(pop_a.bits, pop_b.bits)
 
     def test_frequencies_are_multiples_of_one_over_mu_or_borders(self):
         cfg = UmdaConfig(n=20, mu=10, lam=20, master_seed=6)
         p = FrequencyVector.uniform(20)
         for t in range(1, 30):
-            result = step(p, cfg.mu, cfg.lam, cfg.make_rng())
-            p = result.update.frequencies
+            _, selected = sample_and_select(p, cfg.mu, cfg.lam, cfg.make_rng())
+            p = update_frequencies(selected, p.borders).frequencies
             v = p.values
             at_border = (v == p.lower_limit) | (v == p.upper_limit)
             steps = v[~at_border] * 10
@@ -117,7 +122,8 @@ class TestStep:
     def test_stats_describe_updated_vector(self):
         cfg = UmdaConfig(n=15, mu=5, lam=15, master_seed=7)
         p = FrequencyVector.uniform(15)
-        pop, _, upd = step(p, cfg.mu, cfg.lam, cfg.make_rng())
+        pop, selected = sample_and_select(p, cfg.mu, cfg.lam, cfg.make_rng())
+        upd = update_frequencies(selected, p.borders)
         stats = record_generation(upd.frequencies, upd.lower_hits, upd.upper_hits, pop, t=1)
         v = upd.frequencies.values
         assert stats.sampling_variance == pytest.approx(float(np.sum(v * (1 - v))))
@@ -125,7 +131,8 @@ class TestStep:
 
     def test_selected_are_mu_of_the_sampled(self):
         p = FrequencyVector.uniform(16)
-        pop, selected, upd = step(p, 4, 12, Pcg32(8, 0))
+        pop, selected = sample_and_select(p, 4, 12, Pcg32(8, 0))
+        upd = update_frequencies(selected, p.borders)
         assert len(pop) == 12 and len(selected) == 4
         sampled = {row.tobytes() for row in pop.bits}
         assert all(row.tobytes() in sampled for row in selected.bits)
@@ -142,7 +149,8 @@ class TestStep:
         lower = upper = t = 0
         while True:
             t += 1
-            pop, _, upd = step(p, cfg.mu, cfg.lam, rng)
+            pop, selected = sample_and_select(p, cfg.mu, cfg.lam, rng)
+            upd = update_frequencies(selected, p.borders)
             p = upd.frequencies
             lower += int(upd.lower_hits.sum())
             upper += int(upd.upper_hits.sum())
@@ -246,6 +254,8 @@ class TestRun:
             UmdaConfig(n=10, mu=0, lam=5)
         with pytest.raises(ValueError):
             UmdaConfig(n=1, mu=1, lam=2, borders=True)
+        with pytest.raises(ValueError):
+            UmdaConfig(n=10, mu=2, lam=5, max_generations=-1)
 
 
 @given(

@@ -421,6 +421,40 @@ class TestCli:
         assert rc == 1
         assert "runs must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--n", "10", "--lambdas", "4:4:1", "--runs", "1", "--mu-rule", "lam/0"],
+            ["scaling", "--n-values", "16,32", "--mu-rule", "n/0"],
+            ["sweep", "--n", "10", "--lambdas", "4:4:1", "--runs", "1", "--mu-rule", "10**400"],
+            ["sweep", "--n", "10", "--lambdas", "4:4:1", "--runs", "1", "--mu-rule", "1e308*10"],
+        ],
+    )
+    def test_rule_arithmetic_error_is_a_config_error(self, argv, capsys):
+        assert main(["--threads", "1"] + argv) == 1
+        assert "configuration error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["sweep", "--n", "10", "--lambdas", "4:4:1", "--runs", "1"],
+            ["scaling", "--n-values", "16", "--mu-rule", "4", "--runs", "1"],
+            ["phase", "--n", "10", "--mu-small", "1", "--mu-large", "2", "--runs", "1"],
+        ],
+    )
+    @pytest.mark.parametrize(
+        "threads, generations, message",
+        [
+            ("1", "-3", "max_generations must be >= 0"),
+            ("-2", "5", "threads must be >= 1"),
+            ("0", "5", "threads must be >= 1"),
+        ],
+    )
+    def test_out_of_range_flag_exit_code(self, command, threads, generations, message, capsys):
+        argv = ["--threads", threads] + command + ["--max-generations", generations]
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+
     def test_scaling_command(self, capsys):
         rc = main(
             ["--threads", "1", "--seed", "4", "scaling", "--n-values", "24,48",

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from umda import core
 from umda.bitmodel import FrequencyVector, Population, sample_population
 from umda.core import select_mu_best
-from umda.levels import decompose, second_class_count_distribution
+from umda.levels import decompose, focal_one_counts
 from umda.rng import Pcg32
 
 
@@ -126,13 +127,21 @@ def test_first_class_survive_selection_with_focal_forced_to_zero():
             assert forced.bits[idx].tobytes() in sel_rows
 
 
+def open_slots_and_surplus(p, mu, lam, trials, rng):
+    """(open_slots, surplus_candidates) of ``trials`` fresh populations
+    from ``p``, each decomposed at focal bit 0."""
+    decs = [decompose(sample_population(p, lam, rng), mu, 0) for _ in range(trials)]
+    return (
+        np.array([d.open_slots for d in decs]),
+        np.array([d.surplus_candidates for d in decs]),
+    )
+
+
 class TestSecondClassDistribution:
     def test_surplus_always_at_least_one(self):
         n, mu, lam = 30, 10, 25
         p = FrequencyVector.uniform(n)
-        _, surplus = second_class_count_distribution(
-            p, mu, lam, 0, trials=300, rng=Pcg32(31, 0)
-        )
+        _, surplus = open_slots_and_surplus(p, mu, lam, trials=300, rng=Pcg32(31, 0))
         assert int(surplus.min()) >= 1
 
     def test_open_slot_mean_scales_with_mu_over_sigma(self):
@@ -140,8 +149,8 @@ class TestSecondClassDistribution:
         # uniform model (one-time calibration), bound set at 0.3
         n, mu, lam = 50, 50, 100
         p = FrequencyVector(np.full(n, 0.5), borders=True)
-        open_slots, _ = second_class_count_distribution(
-            p, mu, lam, 0, trials=10_000, rng=Pcg32(201, 0)
+        open_slots, _ = open_slots_and_surplus(
+            p, mu, lam, trials=10_000, rng=Pcg32(201, 0)
         )
         sigma = np.sqrt(n * 0.25)
         assert float(open_slots.mean()) >= 0.3 * mu / sigma
@@ -151,12 +160,19 @@ class TestSecondClassDistribution:
         # (measured ~0.26 mu, frozen floor 0.2 mu)
         n, mu, lam = 50, 50, 100
         p = FrequencyVector(np.full(n, 1 - 1 / n), borders=True)
-        open_slots, _ = second_class_count_distribution(
-            p, mu, lam, 0, trials=10_000, rng=Pcg32(202, 0)
+        open_slots, _ = open_slots_and_surplus(
+            p, mu, lam, trials=10_000, rng=Pcg32(202, 0)
         )
         assert float(open_slots.mean()) >= 0.2 * mu
 
-    def test_requires_positive_trials(self):
-        p = FrequencyVector.uniform(10)
-        with pytest.raises(ValueError):
-            second_class_count_distribution(p, 2, 6, 0, trials=0, rng=Pcg32(0, 0))
+
+def test_focal_one_counts_runs_no_update(monkeypatch):
+    p = FrequencyVector.uniform(20)
+    expected = focal_one_counts(p, 5, 12, 0, trials=30, rng=Pcg32(3, 0))
+
+    def update(*args, **kwargs):
+        raise AssertionError("a focal trial updated the frequencies")
+
+    monkeypatch.setattr(core, "update_frequencies", update)
+    counts = focal_one_counts(p, 5, 12, 0, trials=30, rng=Pcg32(3, 0))
+    assert np.array_equal(counts, expected)
