@@ -77,10 +77,14 @@ def sample_population(p: FrequencyVector, lam: int, rng: Pcg32) -> Population:
     """Sample ``lam`` independent individuals from the product distribution.
 
     Bit (j, i) is 1 iff draw u_{j*n+i} / 2^32 < p_i, consuming lam*n
-    consecutive u32 values from ``rng``.
+    consecutive u32 values from ``rng``.  For an integer u that is
+    u < ceil(p_i * 2^32), compared in uint32; a threshold of 2^32, which
+    p_i = 1 without borders gives, does not fit and makes its column all ones.
     """
     if lam < 1:
         raise ValueError(f"population size must be >= 1, got {lam}")
     u = rng.next_u32_block(lam * p.n).reshape(lam, p.n)
-    bits = u < p.values * TWO_POW_32
+    threshold = np.ceil(p.values * TWO_POW_32)
+    bits = u < np.minimum(threshold, TWO_POW_32 - 1).astype(np.uint32)
+    bits[:, threshold == TWO_POW_32] = True
     return Population(bits=bits, fitness=bits.sum(axis=1, dtype=np.int64))

@@ -133,6 +133,32 @@ def test_large_block_memory_is_bounded():
     assert rng._POW.size <= 2 * CHUNK
 
 
+def test_warm_block_allocates_only_its_output():
+    gen = Pcg32(12, 0)
+    gen.next_u32_block(40000)
+    tracemalloc.start()
+    try:
+        gen.next_u32_block(40000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the 160 kB output; the chunk scratch was kept from the first call
+    assert peak < 4 * 40000 + 32 * 1024
+
+
+def test_interleaved_generators_keep_their_own_scratch():
+    # sizes that grow, shrink and regrow the scratch, on two increments
+    blocked = [Pcg32(17, 1), Pcg32(17, 2)]
+    drawn = [[], []]
+    for count in (40, CHUNK + 5, 3, 40000, 80):
+        for gen, out in zip(blocked, drawn):
+            out.extend(gen.next_u32_block(count).tolist())
+    for stream, gen, out in zip((1, 2), blocked, drawn):
+        scalar = Pcg32(17, stream)
+        assert out == [scalar.next_u32() for _ in range(len(out))]
+        assert gen.state == scalar.state
+
+
 def test_empty_block():
     gen = Pcg32(1, 1)
     before = gen.state
@@ -186,3 +212,35 @@ def test_mapping_to_unit_interval():
         u = peek.next_u32() / 2**32
         assert 0.0 <= u < 1.0
         assert bits[i] == (u < probs[i])
+
+
+THRESHOLD_EDGES = [0.0, 2**-32, 1 / 7, 0.5, 0.5 - 2**-33, 1 - 1 / 7, 1 - 2**-32, 1.0]
+
+
+def test_integer_threshold_matches_scalar_rule():
+    probs = np.array(THRESHOLD_EDGES)
+    lam = 500
+    bits = sample_population(FrequencyVector(probs, borders=False), lam, Pcg32(6, 2)).bits
+    peek = Pcg32(6, 2)
+    expected = [[peek.next_u32() / 2**32 < p for p in probs] for _ in range(lam)]
+    assert bits.tolist() == expected
+
+
+class _FixedDraws:
+    """Stand-in generator whose block is a given list of u32 values."""
+
+    def __init__(self, draws):
+        self.draws = np.array(draws, dtype=np.uint32)
+
+    def next_u32_block(self, count):
+        assert count == self.draws.size
+        return self.draws
+
+
+@pytest.mark.parametrize("p", THRESHOLD_EDGES)
+def test_integer_threshold_at_the_boundary_draws(p):
+    edge = int(np.ceil(p * 2**32))
+    draws = sorted({0, 2**32 - 1} | {min(max(u, 0), 2**32 - 1) for u in (edge - 1, edge)})
+    model = FrequencyVector(np.array([p]), borders=False)
+    bits = sample_population(model, len(draws), _FixedDraws(draws)).bits[:, 0]
+    assert bits.tolist() == [u / 2**32 < p for u in draws]
