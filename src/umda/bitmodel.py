@@ -32,7 +32,8 @@ class FrequencyVector:
         if values.ndim != 1 or values.size == 0:
             raise ValueError(f"expected a non-empty 1-d array, got shape {values.shape}")
         lo, hi = self.lower_limit, self.upper_limit
-        if np.any(values < lo) or np.any(values > hi):
+        # min() and max() are NaN when any value is, which fails both tests
+        if not (values.min() >= lo and values.max() <= hi):
             raise ValueError(f"frequencies outside [{lo}, {hi}]")
         values.flags.writeable = False
 
@@ -86,5 +87,11 @@ def sample_population(p: FrequencyVector, lam: int, rng: Pcg32) -> Population:
     u = rng.next_u32_block(lam * p.n).reshape(lam, p.n)
     threshold = np.ceil(p.values * TWO_POW_32)
     bits = u < np.minimum(threshold, TWO_POW_32 - 1).astype(np.uint32)
-    bits[:, threshold == TWO_POW_32] = True
-    return Population(bits=bits, fitness=bits.sum(axis=1, dtype=np.int64))
+    if threshold.max() == TWO_POW_32:
+        bits[:, threshold == TWO_POW_32] = True
+    return Population(bits=bits, fitness=count_ones(bits, axis=1).astype(np.int64))
+
+
+def count_ones(bits: np.ndarray, axis: int) -> np.ndarray:
+    """Ones along ``axis``, summed as uint8 into the smallest dtype that holds the axis length."""
+    return bits.view(np.uint8).sum(axis=axis, dtype=np.min_scalar_type(bits.shape[axis]))

@@ -16,7 +16,7 @@ from typing import Literal, NamedTuple
 
 import numpy as np
 
-from .bitmodel import FrequencyVector, Population, sample_population
+from .bitmodel import FrequencyVector, Population, count_ones, sample_population
 from .rng import Pcg32
 from .telemetry import RunTelemetry, record_generation
 
@@ -99,16 +99,18 @@ def update_frequencies(selected: Population, borders: bool) -> UpdateResult:
     """Set each frequency to (ones at the position among selected) / mu,
     where mu is the number of selected individuals and n their length.
 
-    Border hits are detected on the raw counts with exact integer
-    comparisons (count * n < mu, count * n > mu * (n - 1)) before capping.
+    Border hits are exact integer tests on the raw counts before capping:
+    count * n < mu is count < ceil(mu / n), and count * n > mu * (n - 1) is
+    count > floor(mu * (n - 1) / n), so no count is widened to multiply.
     """
     mu, n = len(selected), selected.n
-    counts = selected.bits.sum(axis=0, dtype=np.int64)
-    lower_hits = counts * n < mu
-    upper_hits = counts * n > mu * (n - 1)
+    counts = count_ones(selected.bits, axis=0)
+    lower_hits = counts < -(-mu // n)
+    upper_hits = counts > mu * (n - 1) // n
     values = counts / mu
     if borders:
-        np.clip(values, 1.0 / n, 1.0 - 1.0 / n, out=values)
+        np.maximum(values, 1.0 / n, out=values)
+        np.minimum(values, 1.0 - 1.0 / n, out=values)
     return UpdateResult(FrequencyVector(values, borders), lower_hits, upper_hits)
 
 

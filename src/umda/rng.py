@@ -18,13 +18,14 @@ _MASK32 = (1 << 32) - 1
 TWO_POW_32 = 4294967296.0
 
 #: Draws generated per pass of ``Pcg32.next_u32_block``.  A pass touches
-#: about 44 bytes of tables, states and temporaries per draw, so a 16k pass
-#: (about 700 kB) stays in cache.  On a 2-vCPU Xeon host 16k measured
-#: 4.5 ns/u32 against 5.0-5.8 ns for 8k and 32k, and 24 ns for a 600k block
-#: generated in one pass.  The chunk buffers live on the generator and are
-#: reused by every later block, which changes no stream; buffers freed after
-#: each call go back to the OS and fault back in on the next, about 90 page
-#: faults per 40k block.
+#: about 36 bytes per draw: the POW table, GEO * increment, the states and
+#: one uint64 temporary (8 bytes each) and the uint32 output, so a 16k pass
+#: (about 590 kB) stays in cache.  On a 2-vCPU Xeon host, medians of 30
+#: interleaved rounds for 40k and 600k blocks: 16k 3.5/3.4 ns/u32, 32k
+#: 3.5/3.4 ns (under 3% apart) and 8k 4.0/4.1 ns.  The chunk buffers live
+#: on the generator and are reused by every later block, which changes no
+#: stream; buffers freed after each call go back to the OS and fault back
+#: in on the next, about 90 page faults per 40k block.
 CHUNK = 16384
 
 # Jump tables for vectorized state generation: _POW[i] = MULT^i and
@@ -119,32 +120,28 @@ class Pcg32:
                 _GEO[: size + 1] * np.uint64(self._inc),
                 np.empty(size + 1, dtype=np.uint64),
                 np.empty(size, dtype=np.uint64),
-                np.empty(size, dtype=np.uint32),
-                np.empty(size, dtype=np.uint32),
             )
-        steps, states, wide, word, rot = self._scratch
+        steps, states, wide = self._scratch
         state = self._state
         for start in range(0, count, CHUNK):
             m = min(CHUNK, count - start)
-            s, t, x, r = states[: m + 1], wide[:m], word[:m], rot[:m]
+            s, t = states[: m + 1], wide[:m]
             np.multiply(_POW[: m + 1], np.uint64(state), out=s)
             s += steps[: m + 1]
             state = int(s[m])
             s = s[:m]
             # XSH-RR: x = ((s >> 18) ^ s) >> 27 truncated to 32 bits, rotated
-            # right by the top five state bits.
+            # right by the top five state bits r.  x * (2^32 + 1) holds x in
+            # both halves, so its low 32 bits after >> r are the rotation; r
+            # overwrites the states, which are spent by then.
             np.right_shift(s, 18, out=t)
             t ^= s
             t >>= 27
-            np.copyto(x, t, casting="unsafe")
-            np.right_shift(s, 59, out=t)
-            np.copyto(r, t, casting="unsafe")
-            o = out[start : start + m]
-            np.right_shift(x, r, out=o)
-            np.negative(r, out=r)
-            r &= 31
-            x <<= r
-            o |= x
+            t &= _MASK32
+            t *= np.uint64((1 << 32) + 1)
+            s >>= 59
+            t >>= s
+            np.copyto(out[start : start + m], t, casting="unsafe")
         self._state = state
         return out
 

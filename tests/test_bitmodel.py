@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
-from umda.bitmodel import FrequencyVector, sample_population
+from umda.bitmodel import FrequencyVector, count_ones, sample_population
 from umda.oracles import poisson_binomial_pmf
 from umda.rng import Pcg32
 
@@ -50,6 +50,13 @@ class TestFrequencyVector:
         with pytest.raises(ValueError):
             FrequencyVector(np.array([-0.1, 0.5]), borders=False)
 
+    @pytest.mark.parametrize("borders", [True, False])
+    def test_nan_rejected(self, borders):
+        with pytest.raises(ValueError):
+            FrequencyVector(np.array([np.nan, 0.5]), borders=borders)
+        with pytest.raises(ValueError):
+            FrequencyVector(np.array([0.5, np.nan]), borders=borders)
+
     def test_values_must_be_a_nonempty_row(self):
         with pytest.raises(ValueError):
             FrequencyVector(np.full((2, 3), 0.5), borders=False)
@@ -60,6 +67,27 @@ class TestFrequencyVector:
         p = FrequencyVector.uniform(4)
         with pytest.raises(ValueError):
             p.values[0] = 0.9
+
+
+@pytest.mark.parametrize("n", [255, 256, 65535, 65536])
+def test_count_ones_of_a_full_row_at_dtype_boundaries(n):
+    bits = np.ones((2, n), dtype=bool)
+    bits[1, ::3] = False
+    assert count_ones(bits, axis=1).tolist() == bits.sum(axis=1, dtype=np.int64).tolist()
+
+
+@pytest.mark.parametrize("mu", [255, 256])
+def test_count_ones_of_full_columns_at_dtype_boundaries(mu):
+    bits = np.ones((mu, 5), dtype=bool)
+    bits[::2, 1] = False
+    bits[:, 2] = False
+    assert count_ones(bits, axis=0).tolist() == bits.sum(axis=0, dtype=np.int64).tolist()
+
+
+def test_fitness_is_int64():
+    pop = sample_population(FrequencyVector.uniform(300), 4, Pcg32(2, 0))
+    assert pop.fitness.dtype == np.int64
+    assert pop.fitness.tolist() == pop.bits.sum(axis=1).tolist()
 
 
 def test_sample_all_ones_and_all_zeros():

@@ -94,6 +94,18 @@ class TestUpdate:
         assert upd.frequencies.values[0] == pytest.approx(1 / 20)
         assert not upd.lower_hits[0]
 
+    @given(mu=st.integers(1, 500), n=st.integers(1, 5000))
+    @settings(max_examples=60, deadline=None)
+    def test_border_hits_match_the_multiply_forms(self, mu, n):
+        # every count in 0..mu, in as many n-wide populations as it takes
+        counts = np.arange(mu + 1)
+        for start in range(0, mu + 1, n):
+            column_counts = np.resize(counts[start : start + n], n)
+            bits = np.arange(mu)[:, None] < column_counts
+            upd = update_frequencies(make_population(bits), borders=False)
+            assert upd.lower_hits.tolist() == (column_counts * n < mu).tolist()
+            assert upd.upper_hits.tolist() == (column_counts * n > mu * (n - 1)).tolist()
+
 
 class TestStep:
     """One generation step: sample_and_select, then update_frequencies."""

@@ -105,10 +105,14 @@ def test_u64_block_matches_scalar_u64():
 def test_block_across_chunks_equals_scalar(count):
     blocked = Pcg32(31, 4)
     scalar = Pcg32(31, 4)
-    assert blocked.next_u32_block(count).tolist() == [
-        scalar.next_u32() for _ in range(count)
-    ]
+    expected, rotations = [], set()
+    for _ in range(count):
+        rotations.add(scalar.state[0] >> 59)
+        expected.append(scalar.next_u32())
+    assert blocked.next_u32_block(count).tolist() == expected
     assert blocked.state == scalar.state
+    # the draws compared exercise every XSH-RR rotation
+    assert rotations == set(range(32))
 
 
 def test_u64_block_across_a_chunk_boundary():
