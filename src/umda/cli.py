@@ -105,8 +105,16 @@ def _sweep_config(args) -> SweepConfig:
     return sweep_config_from_mapping(mapping)
 
 
+def _check_writable(path: str) -> None:
+    """Raise OSError for an unwritable output path before any run starts;
+    mode "a" creates a missing file but leaves an existing one intact."""
+    open(path, "a").close()
+
+
 def _cmd_sweep(args) -> int:
     cfg = _sweep_config(args)
+    if cfg.output_path:
+        _check_writable(cfg.output_path)
     rows = run_sweep(cfg, threads=args.threads)
     if cfg.output_path:
         emit_csv(rows, cfg.output_path, header=args.header)
@@ -134,6 +142,8 @@ def _print_scaling(result: ScalingResult) -> None:
 
 def _cmd_scaling(args) -> int:
     n_values = [int(x) for x in args.n_values.split(",") if x]
+    if args.output_path:
+        _check_writable(args.output_path)
     result = run_scaling_study(
         n_values,
         mu_rule=args.mu_rule,

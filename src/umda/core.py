@@ -39,8 +39,6 @@ class UmdaConfig:
     master_seed: int = 0
     run_index: int = 0
     record_telemetry: bool = True
-    #: When > 0, snapshot the full frequency vector every k generations.
-    trajectory_every: int = 0
 
     def __post_init__(self):
         if not 1 <= self.mu < self.lam:
@@ -135,23 +133,20 @@ def run(cfg: UmdaConfig) -> RunResult:
     rng = cfg.make_rng()
     p = FrequencyVector.uniform(cfg.n, cfg.borders)
     telemetry = RunTelemetry()
-    if cfg.trajectory_every > 0:
-        telemetry.trajectory.append((0, p.values.copy()))
     verdict: Verdict = "budget_exhausted"
     t = 0
     for t in range(1, cfg.budget + 1):
         pop, selected = sample_and_select(p, cfg.mu, cfg.lam, rng)
         upd = update_frequencies(selected, cfg.borders)
         p = upd.frequencies
-        telemetry.total_lower_border_hits += int(np.count_nonzero(upd.lower_hits))
-        telemetry.total_upper_border_hits += int(np.count_nonzero(upd.upper_hits))
+        lower = int(np.count_nonzero(upd.lower_hits))
+        upper = int(np.count_nonzero(upd.upper_hits))
+        best = int(pop.fitness.max())
+        telemetry.total_lower_border_hits += lower
+        telemetry.total_upper_border_hits += upper
         if cfg.record_telemetry:
-            telemetry.per_generation.append(
-                record_generation(p, upd.lower_hits, upd.upper_hits, pop, t)
-            )
-        if cfg.trajectory_every > 0 and t % cfg.trajectory_every == 0:
-            telemetry.trajectory.append((t, p.values.copy()))
-        if int(pop.fitness.max()) == cfg.n:
+            telemetry.per_generation.append(record_generation(p, lower, upper, best))
+        if best == cfg.n:
             verdict = "optimum_found"
             break
         if not cfg.borders and np.any(p.values == 0.0):

@@ -24,7 +24,6 @@ import numpy as np
 
 from .core import UmdaConfig, run
 from .rng import derive_stream
-from .telemetry import RunTelemetry
 
 
 # ---------------------------------------------------------------------------
@@ -81,15 +80,6 @@ def emit_csv(rows, path: str, header: bool = False) -> None:
     """Write sweep rows as semicolon-separated lines, column 0 = lambda."""
     head = [CSV_HEADER] if header else []
     write_lines(path, head + [row.line() for row in rows])
-
-
-def export_trajectory(telemetry: RunTelemetry, path: str) -> None:
-    """Write captured frequency snapshots as semicolon-separated rows.
-
-    Each row is the generation index followed by the n frequencies, printed
-    with 6 significant digits.
-    """
-    write_lines(path, [format_row([t], values) for t, values in telemetry.trajectory])
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +358,8 @@ def run_scaling_study(
     """Median generations per problem size, with lambda = 2 * mu, plus a
     log-log slope fit."""
     n_values = list(n_values)
+    if not n_values:
+        raise ValueError("n_values is empty")
     if any(a >= b for a, b in zip(n_values, n_values[1:])):
         raise ValueError(f"n_values must be strictly increasing, got {n_values}")
     mus = [int_rule(mu_rule, n=n) for n in n_values]
@@ -496,8 +488,10 @@ def parse_config_file(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected `key = value`")
-            key, value = line.split("=", 1)
-            mapping[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in mapping:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+            mapping[key] = value
     return mapping
 
 

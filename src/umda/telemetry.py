@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bitmodel import FrequencyVector, Population
+from .bitmodel import FrequencyVector
 
 
 def sampling_variance(p: FrequencyVector) -> float:
@@ -31,7 +31,6 @@ def potential(p: FrequencyVector) -> float:
 class GenerationStats:
     """Telemetry record for one generation (after the frequency update)."""
 
-    t: int
     sampling_variance: float
     potential: float
     lower_border_hits: int
@@ -50,29 +49,21 @@ class RunTelemetry:
     per_generation: list[GenerationStats] = field(default_factory=list)
     total_lower_border_hits: int = 0
     total_upper_border_hits: int = 0
-    #: Optional subsampled snapshots of the full frequency vector, as
-    #: (generation, values) pairs; populated when trajectory capture is on.
-    trajectory: list[tuple[int, np.ndarray]] = field(default_factory=list)
 
 
 def record_generation(
-    p_next: FrequencyVector,
-    lower_hits: np.ndarray,
-    upper_hits: np.ndarray,
-    pop: Population,
-    t: int = 0,
+    p_next: FrequencyVector, lower_hits: int, upper_hits: int, best_fitness: int
 ) -> GenerationStats:
-    """Assemble the telemetry record for generation ``t``; O(n)."""
+    """The record of one generation from its updated vector and counts; O(n)."""
     v = p_next.values
     return GenerationStats(
-        t=t,
         sampling_variance=sampling_variance(p_next),
         potential=potential(p_next),
-        lower_border_hits=int(np.count_nonzero(lower_hits)),
-        upper_border_hits=int(np.count_nonzero(upper_hits)),
+        lower_border_hits=lower_hits,
+        upper_border_hits=upper_hits,
         min_frequency=float(v.min()),
         max_frequency=float(v.max()),
         at_lower_border=int(np.count_nonzero(v == p_next.lower_limit)),
         at_upper_border=int(np.count_nonzero(v == p_next.upper_limit)),
-        best_fitness=int(pop.fitness.max()),
+        best_fitness=best_fitness,
     )

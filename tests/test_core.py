@@ -136,10 +136,13 @@ class TestStep:
         p = FrequencyVector.uniform(15)
         pop, selected = sample_and_select(p, cfg.mu, cfg.lam, cfg.make_rng())
         upd = update_frequencies(selected, p.borders)
-        stats = record_generation(upd.frequencies, upd.lower_hits, upd.upper_hits, pop, t=1)
+        lower, upper = int(upd.lower_hits.sum()), int(upd.upper_hits.sum())
+        stats = record_generation(upd.frequencies, lower, upper, int(pop.fitness.max()))
         v = upd.frequencies.values
         assert stats.sampling_variance == pytest.approx(float(np.sum(v * (1 - v))))
+        assert (stats.lower_border_hits, stats.upper_border_hits) == (lower, upper)
         assert stats.best_fitness == int(pop.fitness.max())
+        assert (stats.min_frequency, stats.max_frequency) == (v.min(), v.max())
 
     def test_selected_are_mu_of_the_sampled(self):
         p = FrequencyVector.uniform(16)
@@ -158,21 +161,28 @@ class TestStep:
         result = run(cfg)
         rng = cfg.make_rng()
         p = FrequencyVector.uniform(cfg.n)
-        lower = upper = t = 0
+        expected = []
         while True:
-            t += 1
             pop, selected = sample_and_select(p, cfg.mu, cfg.lam, rng)
             upd = update_frequencies(selected, p.borders)
             p = upd.frequencies
-            lower += int(upd.lower_hits.sum())
-            upper += int(upd.upper_hits.sum())
+            expected.append(
+                (int(upd.lower_hits.sum()), int(upd.upper_hits.sum()),
+                 int(pop.fitness.max()), cfg.n - 1 - p.values.sum(), p.values.min())
+            )
             if pop.fitness.max() == cfg.n:
                 break
+        records = [
+            (r.lower_border_hits, r.upper_border_hits, r.best_fitness,
+             r.potential, r.min_frequency)
+            for r in result.telemetry.per_generation
+        ]
         assert result.verdict == "optimum_found"
-        assert result.generations == t
+        assert result.generations == len(expected)
         assert np.array_equal(result.final_frequencies.values, p.values)
-        assert result.telemetry.total_lower_border_hits == lower
-        assert result.telemetry.total_upper_border_hits == upper
+        assert records == expected
+        assert result.telemetry.total_lower_border_hits == sum(e[0] for e in expected)
+        assert result.telemetry.total_upper_border_hits == sum(e[1] for e in expected)
 
 
 class TestRun:

@@ -188,6 +188,13 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             parse_config_file(str(path))
 
+    def test_duplicate_key_rejected(self, tmp_path):
+        path = tmp_path / "dup.cfg"
+        path.write_text("n = 30\nlambda_values = 10:10:1\nn = 40\n")
+        with pytest.raises(ValueError, match=r"dup\.cfg:3: duplicate key 'n'"):
+            parse_config_file(str(path))
+        assert main(["--config", str(path), "--threads", "1", "sweep"]) == 1
+
 
 class TestSweep:
     def test_deterministic_and_byte_identical(self, tmp_path):
@@ -239,6 +246,12 @@ class TestScalingAndPhase:
     def test_rejects_repeated_sizes(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             run_scaling_study([32, 32], "ceil(3*log(n))", runs=3, threads=1)
+
+    def test_rejects_empty_sizes(self, capsys):
+        with pytest.raises(ValueError, match="n_values is empty"):
+            run_scaling_study([], "3", runs=1, threads=1)
+        assert main(["scaling", "--n-values", ",", "--mu-rule", "3"]) == 1
+        assert "n_values is empty" in capsys.readouterr().err
 
     def test_batch_rejects_zero_runs(self):
         with pytest.raises(ValueError, match="runs must be >= 1"):
@@ -374,6 +387,34 @@ class TestCli:
              "sweep", "--n", "30", "--lambdas", "10:10:1", "--runs", "2"]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("run_sweep", ["sweep", "--n", "30", "--lambdas", "10:10:1", "--runs", "2"]),
+            ("run_scaling_study", ["scaling", "--n-values", "24", "--mu-rule", "4"]),
+        ],
+    )
+    def test_unwritable_out_fails_before_running(self, name, argv, tmp_path, monkeypatch):
+        from umda import cli
+
+        calls = []
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: calls.append(name))
+        out = str(tmp_path / "missing" / "x.csv")
+        assert main(["--threads", "1", "--out", out] + argv) == 2
+        assert calls == []
+
+    def test_existing_out_is_kept_until_the_results_are_ready(self, tmp_path, monkeypatch):
+        from umda import cli
+
+        out = tmp_path / "x.csv"
+        out.write_text("earlier results\n")
+        seen = []
+        monkeypatch.setattr(
+            cli, "run_sweep", lambda cfg, threads: seen.append(out.read_text()) or []
+        )
+        assert main(["--out", str(out), "sweep", "--n", "30", "--lambdas", "10:10:1"]) == 0
+        assert seen == ["earlier results\n"]
 
     def test_verify_failure_exit_code(self, monkeypatch, capsys):
         from umda import cli

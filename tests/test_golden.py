@@ -15,9 +15,10 @@ from umda.core import UmdaConfig, run
 from umda.experiments import (
     SweepConfig,
     emit_csv,
-    export_trajectory,
+    format_row,
     run_phase_transition_probe,
     run_sweep,
+    write_lines,
 )
 from umda.verification import (
     check_decomposition_invariants,
@@ -43,11 +44,17 @@ def test_sweep_csv_digest(tmp_path):
 
 
 def test_trajectory_export_digest(tmp_path):
-    cfg = UmdaConfig(
-        n=12, mu=4, lam=12, master_seed=22, max_generations=9, trajectory_every=3
-    )
+    # Rows of the final frequencies of runs truncated at t generations.  The
+    # rows stop at 6 because a budget of 9 finds the optimum at generation 8.
+    def cfg(t):
+        return UmdaConfig(n=12, mu=4, lam=12, master_seed=22, max_generations=t)
+
+    result = run(cfg(9))
+    assert (result.verdict, result.generations) == ("optimum_found", 8)
     path = tmp_path / "trajectory.txt"
-    export_trajectory(run(cfg).telemetry, str(path))
+    write_lines(
+        str(path), [format_row([t], run(cfg(t)).final_frequencies.values) for t in (0, 3, 6)]
+    )
     assert digest(path.read_bytes()) == (
         "c34a292ea0d1ae9cd58fe8af6f7de76def94cdce4f7a7fd191309e10fb9f9178"
     )

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from umda.bitmodel import FrequencyVector, Population
+from umda.bitmodel import FrequencyVector
 from umda.core import UmdaConfig, run
-from umda.experiments import export_trajectory
 from umda.telemetry import potential, record_generation, sampling_variance
 
 
@@ -45,20 +44,13 @@ def test_variance_within_quarter_n(p):
     assert 0.0 <= sampling_variance(p) <= p.n / 4 + 1e-12
 
 
-def make_stats(p, lower=None, upper=None, best=3, t=1):
-    n = p.n
-    lower = np.zeros(n, dtype=bool) if lower is None else lower
-    upper = np.zeros(n, dtype=bool) if upper is None else upper
-    pop = Population(
-        bits=np.zeros((2, n), dtype=bool),
-        fitness=np.array([best, 0], dtype=np.int64),
-    )
-    return record_generation(p, lower, upper, pop, t=t)
+def make_stats(p, lower=0, upper=0, best=3):
+    return record_generation(p, lower, upper, best)
 
 
 def test_record_initialization_values():
     n = 10
-    stats = make_stats(FrequencyVector.uniform(n), t=0)
+    stats = make_stats(FrequencyVector.uniform(n))
     assert stats.potential == pytest.approx(n / 2 - 1)
     assert stats.sampling_variance == pytest.approx(n / 4)
     assert stats.lower_border_hits == 0
@@ -70,9 +62,7 @@ def test_record_counts_border_events():
     values = np.full(n, 0.5)
     values[3] = 1 / n
     p = FrequencyVector(values, borders=True)
-    lower = np.zeros(n, dtype=bool)
-    lower[3] = True
-    stats = make_stats(p, lower=lower)
+    stats = make_stats(p, lower=1)
     assert stats.lower_border_hits == 1
     assert stats.at_lower_border == 1
     assert stats.at_upper_border == 0
@@ -89,24 +79,6 @@ def test_run_telemetry_invariants():
         assert stats.sampling_variance >= (1 - 1 / n) - 1e-12
         assert -1.0 < stats.potential <= n - 1
         assert stats.sampling_variance <= stats.potential + 1.0 + 1e-12
-
-
-def test_trajectory_capture_and_export(tmp_path):
-    cfg = UmdaConfig(
-        n=12, mu=4, lam=12, master_seed=22, max_generations=9, trajectory_every=3
-    )
-    result = run(cfg)
-    captured = [t for t, _ in result.telemetry.trajectory]
-    assert captured[0] == 0
-    assert all(t % 3 == 0 for t in captured)
-    path = tmp_path / "trajectory.txt"
-    export_trajectory(result.telemetry, str(path))
-    lines = path.read_text().strip().split("\n")
-    assert len(lines) == len(captured)
-    first = lines[0].split(";")
-    assert first[0] == "0"
-    assert len(first) == 1 + cfg.n
-    assert float(first[1]) == 0.5
 
 
 def test_phi_drift_floor_above_quarter():
