@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 configuration error, 2 I/O error,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .experiments import (
@@ -49,7 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", dest="master_seed", type=int, default=None, help="master seed"
     )
     parser.add_argument(
-        "--threads", type=int, default=None, help="worker processes (default: cores)"
+        "--threads", type=int, default=None,
+        help="worker processes (default: the CPUs this process may run on)",
     )
     parser.add_argument(
         "--out", dest="output_path", default=None,
@@ -106,9 +108,13 @@ def _sweep_config(args) -> SweepConfig:
 
 
 def _check_writable(path: str) -> None:
-    """Raise OSError for an unwritable output path before any run starts;
-    mode "a" creates a missing file but leaves an existing one intact."""
+    """Raise OSError for an unwritable output path before any run starts.
+    Mode "a" leaves an existing file intact; a file it had to create is
+    removed again, so an error before the results are written leaves none."""
+    existed = os.path.lexists(path)
     open(path, "a").close()
+    if not existed:
+        os.remove(path)
 
 
 def _cmd_sweep(args) -> int:

@@ -253,11 +253,16 @@ def run_batch(
     Run k of a setting takes its config fields from ``shared`` and
     ``params`` and draws from stream derive_stream(setting, k).  The
     summaries come back split by setting, in the order of ``settings`` and,
-    within each, in run-index order.
+    within each, in run-index order.  The pool has ``threads`` workers, by
+    default one per CPU this process may run on, and never more than runs.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    threads = threads if threads is not None else (os.cpu_count() or 1)
+    if threads is None:
+        if hasattr(os, "sched_getaffinity"):
+            threads = len(os.sched_getaffinity(0))
+        else:
+            threads = os.cpu_count() or 1
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     configs = [
@@ -271,18 +276,26 @@ def run_batch(
         for setting, params in settings
         for k in range(runs)
     ]
-    if threads == 1 or len(configs) <= 1:
+    workers = min(threads, len(configs))
+    if workers <= 1:
         summaries = [_run_summary(cfg) for cfg in configs]
     else:
-        chunk = max(1, len(configs) // (8 * threads))
-        with futures.ProcessPoolExecutor(max_workers=threads) as pool:
+        chunk = max(1, len(configs) // (8 * workers))
+        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
             summaries = list(pool.map(_run_summary, configs, chunksize=chunk))
     return [summaries[k * runs : (k + 1) * runs] for k in range(len(settings))]
 
 
-def _mean_over(values, mask) -> float:
-    picked = [v for v, keep in zip(values, mask) if keep]
-    return float(np.mean(picked)) if picked else float("nan")
+def _over_successes(stat, batch, field: str) -> float:
+    """``stat`` (np.mean, np.median) of one RunSummary field over the runs
+    that found the optimum; nan when none did."""
+    picked = [getattr(s, field) for s in batch if s.verdict == "optimum_found"]
+    return float(stat(picked)) if picked else float("nan")
+
+
+def _fraction(batch, verdict: str) -> float:
+    """Share of the runs in ``batch`` that ended with ``verdict``."""
+    return float(np.mean([s.verdict == verdict for s in batch]))
 
 
 def run_sweep(cfg: SweepConfig, threads: int | None = None) -> list[SweepRow]:
@@ -302,19 +315,16 @@ def run_sweep(cfg: SweepConfig, threads: int | None = None) -> list[SweepRow]:
         borders=cfg.borders,
         max_generations=cfg.max_generations,
     )
-    rows = []
-    for lam, batch in zip(lambdas, batches):
-        ok = [s.verdict == "optimum_found" for s in batch]
-        rows.append(
-            SweepRow(
-                lam=lam,
-                avg_evaluations=_mean_over([s.evaluations for s in batch], ok),
-                avg_lower_border_hits=_mean_over([s.lower_border_hits for s in batch], ok),
-                success_fraction=float(np.mean(ok)),
-                avg_generations=_mean_over([s.generations for s in batch], ok),
-            )
+    return [
+        SweepRow(
+            lam=lam,
+            avg_evaluations=_over_successes(np.mean, batch, "evaluations"),
+            avg_lower_border_hits=_over_successes(np.mean, batch, "lower_border_hits"),
+            success_fraction=_fraction(batch, "optimum_found"),
+            avg_generations=_over_successes(np.mean, batch, "generations"),
         )
-    return rows
+        for lam, batch in zip(lambdas, batches)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -367,22 +377,18 @@ def run_scaling_study(
     batches = run_batch(
         settings, runs, master_seed, threads, borders=borders, max_generations=max_generations
     )
-    rows = []
-    for (n, params), batch in zip(settings, batches):
-        ok = [s.verdict == "optimum_found" for s in batch]
-        gens = [s.generations for s, good in zip(batch, ok) if good]
-        evals = [s.evaluations for s, good in zip(batch, ok) if good]
-        rows.append(
-            ScalingRow(
-                n=n,
-                mu=params["mu"],
-                lam=params["lam"],
-                runs=runs,
-                success_fraction=float(np.mean(ok)),
-                median_generations=float(np.median(gens)) if gens else float("nan"),
-                median_evaluations=float(np.median(evals)) if evals else float("nan"),
-            )
+    rows = [
+        ScalingRow(
+            n=n,
+            mu=params["mu"],
+            lam=params["lam"],
+            runs=runs,
+            success_fraction=_fraction(batch, "optimum_found"),
+            median_generations=_over_successes(np.median, batch, "generations"),
+            median_evaluations=_over_successes(np.median, batch, "evaluations"),
         )
+        for (n, params), batch in zip(settings, batches)
+    ]
     finite = [
         (row.n, row.median_generations)
         for row in rows
@@ -432,20 +438,18 @@ def run_phase_transition_probe(
         settings, runs, master_seed, threads,
         n=n, borders=False, max_generations=max_generations,
     )
-    outcomes = []
-    for (mu, params), batch in zip(settings, batches):
-        verdicts = [s.verdict for s in batch]
-        outcomes.append(
-            PhaseOutcome(
-                mu=mu,
-                lam=params["lam"],
-                runs=runs,
-                stagnated_fraction=verdicts.count("stagnated") / runs,
-                success_fraction=verdicts.count("optimum_found") / runs,
-                budget_fraction=verdicts.count("budget_exhausted") / runs,
-            )
+    small, large = (
+        PhaseOutcome(
+            mu=mu,
+            lam=params["lam"],
+            runs=runs,
+            stagnated_fraction=_fraction(batch, "stagnated"),
+            success_fraction=_fraction(batch, "optimum_found"),
+            budget_fraction=_fraction(batch, "budget_exhausted"),
         )
-    return outcomes[0], outcomes[1]
+        for (mu, params), batch in zip(settings, batches)
+    )
+    return small, large
 
 
 # ---------------------------------------------------------------------------

@@ -23,30 +23,17 @@ TWO_POW_32 = 4294967296.0
 #: (about 590 kB) stays in cache.  On a 2-vCPU Xeon host, medians of 30
 #: interleaved rounds for 40k and 600k blocks: 16k 3.5/3.4 ns/u32, 32k
 #: 3.5/3.4 ns (under 3% apart) and 8k 4.0/4.1 ns.  The chunk buffers live
-#: on the generator and are reused by every later block, which changes no
-#: stream; buffers freed after each call go back to the OS and fault back
-#: in on the next, about 90 page faults per 40k block.
+#: on the generator because reusing them spares faulting them back in on
+#: every block, about 90 page faults per 40k block.
 CHUNK = 16384
 
-# Jump tables for vectorized state generation: _POW[i] = MULT^i and
-# _GEO[i] = 1 + MULT + ... + MULT^(i-1), both mod 2^64.  The LCG state after
-# i steps from s is POW[i] * s + GEO[i] * increment, so once GEO * increment
-# is formed a chunk of pre-advance states takes two elementwise operations.
-# A chunk needs CHUNK + 1 entries; they are built at import by doubling:
-# POW[m+i] = POW[m] * POW[i]   and   GEO[m+i] = GEO[m] + POW[m] * GEO[i].
-def _step_tables(count: int) -> tuple[np.ndarray, np.ndarray]:
-    pows = np.array([1], dtype=np.uint64)
-    geos = np.array([0], dtype=np.uint64)
-    while pows.size < count:
-        m = pows.size
-        pow_m = np.uint64((int(pows[-1]) * _MULT) & _MASK64)
-        geo_m = np.uint64((int(geos[-1]) + int(pows[-1])) & _MASK64)
-        pows = np.concatenate([pows, pows * pow_m])
-        geos = np.concatenate([geos, geo_m + pow_m * geos[:m]])
-    return pows[:count], geos[:count]
-
-
-_POW, _GEO = _step_tables(CHUNK + 1)
+# Jump tables for vectorized state generation, CHUNK + 1 entries each:
+#   POW[i] = MULT^i   and   GEO[i] = sum_{j<i} MULT^j   (mod 2^64).
+# The LCG state after i steps from s is POW[i] * s + GEO[i] * increment, so
+# once GEO * increment is formed a chunk of pre-advance states takes two
+# elementwise operations.  uint64 array arithmetic wraps mod 2^64.
+_POW = np.append(np.uint64(1), np.cumprod(np.full(CHUNK, _MULT, dtype=np.uint64)))
+_GEO = np.cumsum(_POW) - _POW
 
 
 def derive_stream(setting: int, run_index: int) -> int:
@@ -111,15 +98,12 @@ class Pcg32:
         blocks allocate nothing but their output.
         """
         out = np.empty(max(count, 0), dtype=np.uint32)
-        if count <= 0:
-            return out
-        size = min(count, CHUNK)
-        if self._scratch is None or self._scratch[0].size <= size:
+        if self._scratch is None:
             # GEO * inc can be kept too: the increment never changes.
             self._scratch = (
-                _GEO[: size + 1] * np.uint64(self._inc),
-                np.empty(size + 1, dtype=np.uint64),
-                np.empty(size, dtype=np.uint64),
+                _GEO * np.uint64(self._inc),
+                np.empty_like(_GEO),
+                np.empty(CHUNK, dtype=np.uint64),
             )
         steps, states, wide = self._scratch
         state = self._state

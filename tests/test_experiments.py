@@ -1,4 +1,5 @@
 import math
+import os
 from dataclasses import fields
 
 import pytest
@@ -231,6 +232,28 @@ class TestSweep:
         assert row.avg_evaluations == pytest.approx(10 * row.avg_generations)
 
 
+def _record_pools(monkeypatch):
+    """Replace the process pool with one that maps in this process and
+    records each pool's worker count."""
+    built = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr("umda.experiments.futures.ProcessPoolExecutor", SerialPool)
+    return built
+
+
 class TestScalingAndPhase:
     def test_singleton_slope_absent(self):
         result = run_scaling_study(
@@ -256,6 +279,20 @@ class TestScalingAndPhase:
     def test_batch_rejects_zero_runs(self):
         with pytest.raises(ValueError, match="runs must be >= 1"):
             run_batch([(8, {"mu": 4, "lam": 8})], 0, 0, 1, n=10, borders=True)
+
+    def test_pool_is_no_larger_than_the_batch(self, monkeypatch):
+        built = _record_pools(monkeypatch)
+        settings = [(8, {"mu": 4, "lam": 8})]
+        pooled = run_batch(settings, 3, 5, 64, n=10, borders=True)
+        assert built == [3]
+        assert pooled == run_batch(settings, 3, 5, 1, n=10, borders=True)
+
+    def test_default_threads_follow_cpu_affinity(self, monkeypatch):
+        built = _record_pools(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        run_batch([(8, {"mu": 4, "lam": 8})], 3, 5, None, n=10, borders=True)
+        assert built == []
 
     def test_phase_probe_orders_mus(self):
         with pytest.raises(ValueError):
@@ -415,6 +452,18 @@ class TestCli:
         )
         assert main(["--out", str(out), "sweep", "--n", "30", "--lambdas", "10:10:1"]) == 0
         assert seen == ["earlier results\n"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--threads", "0", "sweep", "--n", "20", "--lambdas", "4:8:2", "--runs", "2"],
+            ["scaling", "--n-values", "1,4", "--mu-rule", "2", "--runs", "1"],
+        ],
+    )
+    def test_config_error_leaves_no_out_file(self, argv, tmp_path):
+        out = tmp_path / "x.csv"
+        assert main(["--out", str(out)] + argv) == 1
+        assert not out.exists()
 
     def test_verify_failure_exit_code(self, monkeypatch, capsys):
         from umda import cli
