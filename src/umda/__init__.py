@@ -4,7 +4,7 @@ Modules
 -------
 rng           deterministic PCG32 generation (scalar and vectorized blocks), stream ids
 bitmodel      bit strings, OneMax fitness, frequency vectors, sampling
-core          one generation as sample_and_select, then update_frequencies; run driver
+core          sample_and_select -> selected one-counts -> update_frequencies; run driver
 telemetry     per-generation sampling variance / potential / border hits
 levels        ranking by all-but-one bits: cut level, candidates, classes
 oracles       exact Poisson-binomial and capped-binomial computations

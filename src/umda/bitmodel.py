@@ -69,10 +69,6 @@ class Population:
     def __len__(self) -> int:
         return self.bits.shape[0]
 
-    @property
-    def n(self) -> int:
-        return self.bits.shape[1]
-
 
 def sample_population(p: FrequencyVector, lam: int, rng: Pcg32) -> Population:
     """Sample ``lam`` independent individuals from the product distribution.

@@ -1,9 +1,9 @@
 """The UMDA generation kernel and run-to-optimum driver.
 
-One generation in two halves: ``sample_and_select`` samples lambda offspring
-and keeps the mu fittest (ties broken uniformly at random via fresh 64-bit
-keys); ``update_frequencies``, which draws nothing, sets each frequency to
-the relative occurrence of 1s among the kept and caps into [1/n, 1 - 1/n]
+One generation in two halves: ``sample_and_select`` samples lambda offspring,
+keeps the mu fittest (ties broken uniformly at random via fresh 64-bit keys)
+and counts the ones at each position among them; ``update_frequencies``,
+which draws nothing, divides those counts by mu and caps into [1/n, 1 - 1/n]
 when borders are on.  Without borders (the UMDA* variant) a frequency that
 reaches 0 or 1 can never change again; a run is declared stagnated as soon
 as some frequency is absorbed at 0, making the all-ones optimum unsampleable.
@@ -49,6 +49,11 @@ class UmdaConfig:
             raise ValueError("borders [1/n, 1 - 1/n] need n >= 2")
         if self.max_generations is not None and self.max_generations < 0:
             raise ValueError(f"max_generations must be >= 0, got {self.max_generations}")
+        # Pcg32 keeps the low 64 bits of the seed and 63 bits of the stream
+        if not 0 <= self.master_seed < 1 << 64:
+            raise ValueError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
+        if not 0 <= self.run_index < 1 << 63:
+            raise ValueError(f"run_index must be in [0, 2**63), got {self.run_index}")
 
     @property
     def budget(self) -> int:
@@ -77,8 +82,8 @@ class RunResult:
     final_frequencies: FrequencyVector
 
 
-def select_mu_best(pop: Population, mu: int, rng: Pcg32) -> Population:
-    """The mu fittest individuals, ties broken uniformly at random.
+def select_mu_best(pop: Population, mu: int, rng: Pcg32) -> np.ndarray:
+    """Row indices of the mu fittest individuals, ties broken uniformly at random.
 
     Sorts on (fitness descending, fresh uniform 64-bit key), so within the
     fitness class at the cutoff every subset of the required size is equally
@@ -88,21 +93,18 @@ def select_mu_best(pop: Population, mu: int, rng: Pcg32) -> Population:
     if mu > len(pop):
         raise ValueError(f"mu={mu} exceeds population size {len(pop)}")
     keys = rng.next_u64_block(len(pop))
-    order = np.lexsort((keys, -pop.fitness))
-    chosen = order[:mu]
-    return Population(bits=pop.bits[chosen], fitness=pop.fitness[chosen])
+    return np.lexsort((keys, -pop.fitness))[:mu]
 
 
-def update_frequencies(selected: Population, borders: bool) -> UpdateResult:
-    """Set each frequency to (ones at the position among selected) / mu,
-    where mu is the number of selected individuals and n their length.
+def update_frequencies(counts: np.ndarray, mu: int, borders: bool) -> UpdateResult:
+    """Set each frequency to counts[i] / mu, where counts[i] is the number of
+    ones at position i among the mu selected and n = counts.size.
 
     Border hits are exact integer tests on the raw counts before capping:
     count * n < mu is count < ceil(mu / n), and count * n > mu * (n - 1) is
     count > floor(mu * (n - 1) / n), so no count is widened to multiply.
     """
-    mu, n = len(selected), selected.n
-    counts = count_ones(selected.bits, axis=0)
+    n = counts.size
     lower_hits = counts < -(-mu // n)
     upper_hits = counts > mu * (n - 1) // n
     values = counts / mu
@@ -114,12 +116,13 @@ def update_frequencies(selected: Population, borders: bool) -> UpdateResult:
 
 def sample_and_select(
     p: FrequencyVector, mu: int, lam: int, rng: Pcg32
-) -> tuple[Population, Population]:
+) -> tuple[Population, np.ndarray]:
     """The first half of a generation: lam offspring sampled from ``p``, and
-    the mu best of them.  The only place sampling is chained to selection.
+    the one-count at each position among the mu best of them.  The only
+    place sampling is chained to selection, and selected rows become counts.
     """
     pop = sample_population(p, lam, rng)
-    return pop, select_mu_best(pop, mu, rng)
+    return pop, count_ones(pop.bits[select_mu_best(pop, mu, rng)], axis=0)
 
 
 def run(cfg: UmdaConfig) -> RunResult:
@@ -136,8 +139,8 @@ def run(cfg: UmdaConfig) -> RunResult:
     verdict: Verdict = "budget_exhausted"
     t = 0
     for t in range(1, cfg.budget + 1):
-        pop, selected = sample_and_select(p, cfg.mu, cfg.lam, rng)
-        upd = update_frequencies(selected, cfg.borders)
+        pop, counts = sample_and_select(p, cfg.mu, cfg.lam, rng)
+        upd = update_frequencies(counts, cfg.mu, cfg.borders)
         p = upd.frequencies
         lower = int(np.count_nonzero(upd.lower_hits))
         upper = int(np.count_nonzero(upd.upper_hits))
@@ -149,7 +152,7 @@ def run(cfg: UmdaConfig) -> RunResult:
         if best == cfg.n:
             verdict = "optimum_found"
             break
-        if not cfg.borders and np.any(p.values == 0.0):
+        if not cfg.borders and counts.min() == 0:
             verdict = "stagnated"
             break
     return RunResult(

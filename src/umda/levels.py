@@ -89,6 +89,5 @@ def focal_one_counts(
     """
     out = np.empty(trials, dtype=np.int64)
     for i in range(trials):
-        _, selected = sample_and_select(p, mu, lam, rng)
-        out[i] = int(selected.bits[:, focal_bit].sum())
+        out[i] = sample_and_select(p, mu, lam, rng)[1][focal_bit]
     return out

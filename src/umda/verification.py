@@ -184,7 +184,7 @@ def check_decomposition_invariants(
         rng = Pcg32(seed, derive_stream(cell, 0))
         p = FrequencyVector.uniform(n, borders=True)
         for t in range(per_cell):
-            pop, selected = sample_and_select(p, mu, lam, rng)
+            pop, counts = sample_and_select(p, mu, lam, rng)
             dec = decompose(pop, mu, focal_bit=t % n)
             checked += 1
             ok = (
@@ -202,7 +202,7 @@ def check_decomposition_invariants(
                     and int(dec.counts_at_or_above[dec.cut_level - 1]) > mu
                 )
             violations += int(not ok)
-            p = update_frequencies(selected, p.borders).frequencies
+            p = update_frequencies(counts, mu, p.borders).frequencies
             if int(pop.fitness.max()) == n:
                 p = FrequencyVector.uniform(n, borders=True)
     return CheckResult(

@@ -8,11 +8,10 @@ import time
 import numpy as np
 from scipy import stats as sstats
 
+from curve_shape import has_interior_min_then_max, moving_average
 from umda.experiments import (
     SweepConfig,
     emit_csv,
-    has_interior_min_then_max,
-    moving_average,
     run_phase_transition_probe,
     run_scaling_study,
     run_sweep,

@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
-from umda.bitmodel import FrequencyVector, Population
+from umda.bitmodel import FrequencyVector, Population, count_ones, sample_population
 from umda.core import (
     UmdaConfig,
     run,
@@ -18,15 +18,18 @@ from umda.rng import Pcg32
 from umda.telemetry import record_generation
 
 
-def make_population(rows, fitness=None, width=None):
-    """Population from 0/1 rows, zero-padded on the right to ``width``."""
+def make_population(rows):
+    """Population from 0/1 rows."""
     bits = np.array(rows, dtype=bool)
-    if width is not None and width > bits.shape[1]:
-        pad = np.zeros((bits.shape[0], width - bits.shape[1]), dtype=bool)
-        bits = np.hstack([bits, pad])
-    if fitness is None:
-        fitness = bits.sum(axis=1)
-    return Population(bits=bits, fitness=np.asarray(fitness, dtype=np.int64))
+    return Population(bits=bits, fitness=bits.sum(axis=1, dtype=np.int64))
+
+
+def column_counts(head, n):
+    """One-counts of an n-bit model: ``head`` then zeros, as the uint8 the
+    sampler sums small selections into."""
+    counts = np.zeros(n, dtype=np.uint8)
+    counts[: len(head)] = head
+    return counts
 
 
 class TestSelection:
@@ -35,13 +38,13 @@ class TestSelection:
             [[1, 1, 1], [1, 1, 0], [1, 0, 0], [0, 0, 0]]
         )
         for seed in range(5):
-            selected = select_mu_best(pop, 2, Pcg32(seed, 0))
-            assert sorted(selected.fitness.tolist()) == [2, 3]
+            chosen = select_mu_best(pop, 2, Pcg32(seed, 0))
+            assert sorted(pop.fitness[chosen].tolist()) == [2, 3]
 
     def test_mu_equals_lambda_returns_everyone(self):
         pop = make_population([[1, 0], [0, 1], [1, 1]])
-        selected = select_mu_best(pop, 3, Pcg32(0, 0))
-        assert sorted(selected.fitness.tolist()) == sorted(pop.fitness.tolist())
+        chosen = select_mu_best(pop, 3, Pcg32(0, 0))
+        assert sorted(pop.fitness[chosen].tolist()) == sorted(pop.fitness.tolist())
 
     def test_mu_larger_than_population_rejected(self):
         pop = make_population([[1, 0], [0, 1]])
@@ -56,8 +59,8 @@ class TestSelection:
         trials = 10**5
         counts = {pair: 0 for pair in combinations(range(4), 2)}
         for _ in range(trials):
-            selected = select_mu_best(pop, 2, rng)
-            ids = tuple(sorted(int(np.argmax(row)) for row in selected.bits))
+            chosen = select_mu_best(pop, 2, rng)
+            ids = tuple(sorted(int(np.argmax(row)) for row in pop.bits[chosen]))
             counts[ids] += 1
         for pair, count in counts.items():
             assert abs(count / trials - 1 / 6) <= 0.02, (pair, count)
@@ -67,14 +70,12 @@ class TestSelection:
 
 class TestUpdate:
     def test_relative_occurrence(self):
-        rows = [[1, 0]] * 3 + [[0, 0]] * 7
-        upd = update_frequencies(make_population(rows, width=100), borders=True)
+        upd = update_frequencies(column_counts([3], 100), 10, borders=True)
         assert upd.frequencies.values[0] == pytest.approx(0.3)
         assert not upd.lower_hits[0]
 
     def test_lower_border_capped_and_recorded(self):
-        rows = [[0, 1]] * 10
-        upd = update_frequencies(make_population(rows, width=20), borders=True)
+        upd = update_frequencies(column_counts([0, 10], 20), 10, borders=True)
         assert upd.frequencies.values[0] == pytest.approx(1 / 20)
         assert upd.lower_hits[0] and not upd.upper_hits[0]
         # the all-ones column overshoots 1 - 1/20 and is capped there
@@ -82,29 +83,31 @@ class TestUpdate:
         assert upd.upper_hits[1]
 
     def test_unrestricted_keeps_absorbing_value(self):
-        rows = [[0, 1]] * 10
-        upd = update_frequencies(make_population(rows, width=20), borders=False)
+        upd = update_frequencies(column_counts([0, 10], 20), 10, borders=False)
         assert upd.frequencies.values[0] == 0.0
         assert upd.frequencies.values[1] == 1.0
 
     def test_exact_border_value_is_not_a_hit(self):
         # raw value exactly 1/n (count * n == mu) stays put and counts no hit
-        rows = [[1]] + [[0]] * 19
-        upd = update_frequencies(make_population(rows, width=20), borders=True)
+        upd = update_frequencies(column_counts([1], 20), 20, borders=True)
         assert upd.frequencies.values[0] == pytest.approx(1 / 20)
         assert not upd.lower_hits[0]
 
-    @given(mu=st.integers(1, 500), n=st.integers(1, 5000))
+    @given(
+        mu=st.integers(1, 500),
+        n=st.integers(1, 5000),
+        dtype=st.sampled_from([np.uint8, np.uint16, np.int64]),
+    )
     @settings(max_examples=60, deadline=None)
-    def test_border_hits_match_the_multiply_forms(self, mu, n):
-        # every count in 0..mu, in as many n-wide populations as it takes
+    def test_border_hits_match_the_multiply_forms(self, mu, n, dtype):
+        assume(mu <= np.iinfo(dtype).max)
+        # every count in 0..mu, in as many n-wide count vectors as it takes
         counts = np.arange(mu + 1)
         for start in range(0, mu + 1, n):
-            column_counts = np.resize(counts[start : start + n], n)
-            bits = np.arange(mu)[:, None] < column_counts
-            upd = update_frequencies(make_population(bits), borders=False)
-            assert upd.lower_hits.tolist() == (column_counts * n < mu).tolist()
-            assert upd.upper_hits.tolist() == (column_counts * n > mu * (n - 1)).tolist()
+            column = np.resize(counts[start : start + n], n)
+            upd = update_frequencies(column.astype(dtype), mu, borders=False)
+            assert upd.lower_hits.tolist() == (column * n < mu).tolist()
+            assert upd.upper_hits.tolist() == (column * n > mu * (n - 1)).tolist()
 
 
 class TestStep:
@@ -112,11 +115,11 @@ class TestStep:
 
     def test_deterministic(self):
         p = FrequencyVector.uniform(20)
-        pop_a, sel_a = sample_and_select(p, 10, 20, Pcg32(5, 1))
-        pop_b, sel_b = sample_and_select(p, 10, 20, Pcg32(5, 1))
+        pop_a, counts_a = sample_and_select(p, 10, 20, Pcg32(5, 1))
+        pop_b, counts_b = sample_and_select(p, 10, 20, Pcg32(5, 1))
         assert np.array_equal(
-            update_frequencies(sel_a, p.borders).frequencies.values,
-            update_frequencies(sel_b, p.borders).frequencies.values,
+            update_frequencies(counts_a, 10, p.borders).frequencies.values,
+            update_frequencies(counts_b, 10, p.borders).frequencies.values,
         )
         assert np.array_equal(pop_a.bits, pop_b.bits)
 
@@ -124,8 +127,8 @@ class TestStep:
         cfg = UmdaConfig(n=20, mu=10, lam=20, master_seed=6)
         p = FrequencyVector.uniform(20)
         for t in range(1, 30):
-            _, selected = sample_and_select(p, cfg.mu, cfg.lam, cfg.make_rng())
-            p = update_frequencies(selected, p.borders).frequencies
+            _, counts = sample_and_select(p, cfg.mu, cfg.lam, cfg.make_rng())
+            p = update_frequencies(counts, cfg.mu, p.borders).frequencies
             v = p.values
             at_border = (v == p.lower_limit) | (v == p.upper_limit)
             steps = v[~at_border] * 10
@@ -134,8 +137,8 @@ class TestStep:
     def test_stats_describe_updated_vector(self):
         cfg = UmdaConfig(n=15, mu=5, lam=15, master_seed=7)
         p = FrequencyVector.uniform(15)
-        pop, selected = sample_and_select(p, cfg.mu, cfg.lam, cfg.make_rng())
-        upd = update_frequencies(selected, p.borders)
+        pop, counts = sample_and_select(p, cfg.mu, cfg.lam, cfg.make_rng())
+        upd = update_frequencies(counts, cfg.mu, p.borders)
         lower, upper = int(upd.lower_hits.sum()), int(upd.upper_hits.sum())
         stats = record_generation(upd.frequencies, lower, upper, int(pop.fitness.max()))
         v = upd.frequencies.values
@@ -146,15 +149,34 @@ class TestStep:
 
     def test_selected_are_mu_of_the_sampled(self):
         p = FrequencyVector.uniform(16)
-        pop, selected = sample_and_select(p, 4, 12, Pcg32(8, 0))
-        upd = update_frequencies(selected, p.borders)
-        assert len(pop) == 12 and len(selected) == 4
+        rng = Pcg32(8, 0)
+        pop = sample_population(p, 12, rng)
+        chosen = select_mu_best(pop, 4, rng)
+        selected = pop.bits[chosen]
+        upd = update_frequencies(count_ones(selected, axis=0), 4, p.borders)
+        assert len(pop) == 12 and np.unique(chosen).size == 4
         sampled = {row.tobytes() for row in pop.bits}
-        assert all(row.tobytes() in sampled for row in selected.bits)
+        assert all(row.tobytes() in sampled for row in selected)
         assert np.allclose(
             upd.frequencies.values,
-            np.clip(selected.bits.mean(axis=0), 1 / 16, 1 - 1 / 16),
+            np.clip(selected.mean(axis=0), 1 / 16, 1 - 1 / 16),
         )
+
+    @given(
+        n=st.integers(1, 40),
+        mu=st.integers(1, 300),
+        extra=st.integers(1, 20),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_counts_are_column_sums_of_the_selected_rows(self, n, mu, extra, seed):
+        p = FrequencyVector.uniform(n, borders=False)
+        rng, twin = Pcg32(seed, 1), Pcg32(seed, 1)
+        _, counts = sample_and_select(p, mu, mu + extra, rng)
+        pop = sample_population(p, mu + extra, twin)
+        expected = pop.bits[select_mu_best(pop, mu, twin)].sum(axis=0)
+        assert counts.tolist() == expected.tolist()
+        assert rng.state == twin.state
 
     def test_step_loop_reproduces_run(self):
         cfg = UmdaConfig(n=30, mu=6, lam=18, master_seed=9, run_index=4)
@@ -163,8 +185,8 @@ class TestStep:
         p = FrequencyVector.uniform(cfg.n)
         expected = []
         while True:
-            pop, selected = sample_and_select(p, cfg.mu, cfg.lam, rng)
-            upd = update_frequencies(selected, p.borders)
+            pop, counts = sample_and_select(p, cfg.mu, cfg.lam, rng)
+            upd = update_frequencies(counts, cfg.mu, p.borders)
             p = upd.frequencies
             expected.append(
                 (int(upd.lower_hits.sum()), int(upd.upper_hits.sum()),
@@ -278,6 +300,12 @@ class TestRun:
             UmdaConfig(n=1, mu=1, lam=2, borders=True)
         with pytest.raises(ValueError):
             UmdaConfig(n=10, mu=2, lam=5, max_generations=-1)
+        # Pcg32 would alias these onto in-range seeds and streams
+        for bad in ({"master_seed": -1}, {"master_seed": 2**64},
+                    {"run_index": -1}, {"run_index": 2**63}):
+            with pytest.raises(ValueError):
+                UmdaConfig(n=10, mu=2, lam=5, **bad)
+        UmdaConfig(n=10, mu=2, lam=5, master_seed=2**64 - 1, run_index=2**63 - 1)
 
 
 @given(
@@ -304,6 +332,8 @@ def test_run_invariants_random_configs(n, mu, extra, seed, borders):
     assert sum(s.lower_border_hits for s in tel.per_generation) == tel.total_lower_border_hits
     assert sum(s.upper_border_hits for s in tel.per_generation) == tel.total_upper_border_hits
     v = result.final_frequencies.values
+    if not borders:
+        assert (result.verdict == "stagnated") == bool((v == 0.0).any())
     on_grid = np.round(v * mu) / mu == v
     if borders:
         on_grid |= (v == 1 / n) | (v == 1 - 1 / n)

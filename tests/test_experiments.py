@@ -4,6 +4,7 @@ from dataclasses import fields
 
 import pytest
 
+from curve_shape import has_interior_min_then_max, moving_average
 from umda.cli import main
 from umda.experiments import (
     SWEEP_SETTINGS,
@@ -12,9 +13,7 @@ from umda.experiments import (
     emit_csv,
     evaluate_rule,
     format_decimal,
-    has_interior_min_then_max,
     int_rule,
-    moving_average,
     parse_config_file,
     run_batch,
     run_phase_transition_probe,
@@ -417,6 +416,13 @@ class TestCli:
     def test_bad_config_exit_code(self):
         assert main(["--threads", "1", "sweep", "--n", "30",
                      "--lambdas", "10:4:2"]) == 1
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_exit_code(self, seed, capsys):
+        # Pcg32 would run these as seeds 2**64 - 1 and 0
+        assert main(["--seed", str(seed), "--threads", "1", "sweep", "--n", "20",
+                     "--lambdas", "4:8:2", "--runs", "2"]) == 1
+        assert "configuration error" in capsys.readouterr().err
 
     def test_unwritable_output_exit_code(self, tmp_path):
         rc = main(

@@ -120,11 +120,8 @@ def test_first_class_survive_selection_with_focal_forced_to_zero():
         bits = pop.bits.copy()
         bits[dec.first_class_ids, 0] = False
         forced = Population(bits=bits, fitness=bits.sum(axis=1))
-        selected = select_mu_best(forced, mu, rng)
-        # identify selected rows by content, robust to duplicates
-        sel_rows = {row.tobytes() for row in selected.bits}
-        for idx in dec.first_class_ids:
-            assert forced.bits[idx].tobytes() in sel_rows
+        chosen = select_mu_best(forced, mu, rng)
+        assert set(dec.first_class_ids.tolist()) <= set(chosen.tolist())
 
 
 def open_slots_and_surplus(p, mu, lam, trials, rng):
