@@ -3,8 +3,8 @@
 Modules
 -------
 rng           deterministic PCG32 generation (scalar and vectorized blocks), stream ids
-bitmodel      bit strings, OneMax fitness, frequency vectors, sampling
-core          sample_and_select -> selected one-counts -> update_frequencies; run driver
+bitmodel      frequency vectors, sampling to a read-only bit matrix, one-counts
+core          sample_and_select -> bits, fitness, one-counts -> update_frequencies; run driver
 telemetry     per-generation sampling variance / potential / border hits
 levels        ranking by all-but-one bits: cut level, candidates, classes
 oracles       exact Poisson-binomial and capped-binomial computations
@@ -12,7 +12,7 @@ experiments   batch driver, sweeps, scaling studies, phase probes, CSV emission
 verification  oracle-backed check suite behind the `verify` CLI subcommand
 """
 
-from .bitmodel import FrequencyVector, Population, sample_population
+from .bitmodel import FrequencyVector, sample_population
 from .core import (
     RunResult,
     UmdaConfig,
@@ -28,7 +28,6 @@ __all__ = [
     "FrequencyVector",
     "GenerationStats",
     "Pcg32",
-    "Population",
     "RunResult",
     "RunTelemetry",
     "UmdaConfig",

@@ -1,8 +1,8 @@
 """Bit strings, OneMax fitness, frequency vectors, and population sampling.
 
-Populations are stored as a boolean matrix (one row per individual) with a
-cached fitness vector; the sampler draws one u32 per bit from the run's PCG32
-stream in row-major order, so a population equals the same number of
+A population is a read-only bool matrix, one row per individual, whose row
+sums are the OneMax fitness; the sampler draws one u32 per bit from the run's
+PCG32 stream in row-major order, so a population equals the same number of
 individually sampled bit strings.
 """
 
@@ -55,23 +55,9 @@ class FrequencyVector:
         return 1.0 - 1.0 / self.n if self.borders else 1.0
 
 
-@dataclass(frozen=True)
-class Population:
-    """Offspring of one generation: bit matrix plus cached fitness vector."""
-
-    bits: np.ndarray      # bool, shape (lambda, n)
-    fitness: np.ndarray   # int64, shape (lambda,)
-
-    def __post_init__(self):
-        self.bits.flags.writeable = False
-        self.fitness.flags.writeable = False
-
-    def __len__(self) -> int:
-        return self.bits.shape[0]
-
-
-def sample_population(p: FrequencyVector, lam: int, rng: Pcg32) -> Population:
-    """Sample ``lam`` independent individuals from the product distribution.
+def sample_population(p: FrequencyVector, lam: int, rng: Pcg32) -> np.ndarray:
+    """Sample ``lam`` independent individuals from the product distribution,
+    as a read-only bool matrix of shape (lam, n).
 
     Bit (j, i) is 1 iff draw u_{j*n+i} / 2^32 < p_i, consuming lam*n
     consecutive u32 values from ``rng``.  For an integer u that is
@@ -85,7 +71,8 @@ def sample_population(p: FrequencyVector, lam: int, rng: Pcg32) -> Population:
     bits = u < np.minimum(threshold, TWO_POW_32 - 1).astype(np.uint32)
     if threshold.max() == TWO_POW_32:
         bits[:, threshold == TWO_POW_32] = True
-    return Population(bits=bits, fitness=count_ones(bits, axis=1).astype(np.int64))
+    bits.flags.writeable = False
+    return bits
 
 
 def count_ones(bits: np.ndarray, axis: int) -> np.ndarray:

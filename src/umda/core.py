@@ -16,7 +16,7 @@ from typing import Literal, NamedTuple
 
 import numpy as np
 
-from .bitmodel import FrequencyVector, Population, count_ones, sample_population
+from .bitmodel import FrequencyVector, count_ones, sample_population
 from .rng import Pcg32
 from .telemetry import RunTelemetry, record_generation
 
@@ -82,18 +82,18 @@ class RunResult:
     final_frequencies: FrequencyVector
 
 
-def select_mu_best(pop: Population, mu: int, rng: Pcg32) -> np.ndarray:
-    """Row indices of the mu fittest individuals, ties broken uniformly at random.
+def select_mu_best(fitness: np.ndarray, mu: int, rng: Pcg32) -> np.ndarray:
+    """Indices of the mu largest ``fitness`` values, ties broken uniformly at random.
 
     Sorts on (fitness descending, fresh uniform 64-bit key), so within the
     fitness class at the cutoff every subset of the required size is equally
     likely.  With all fitness values distinct the result is the exact top-mu
-    set regardless of the keys.
+    set regardless of the keys.  Negating in int64 keeps unsigned fitness exact.
     """
-    if mu > len(pop):
-        raise ValueError(f"mu={mu} exceeds population size {len(pop)}")
-    keys = rng.next_u64_block(len(pop))
-    return np.lexsort((keys, -pop.fitness))[:mu]
+    if mu > fitness.size:
+        raise ValueError(f"mu={mu} exceeds population size {fitness.size}")
+    keys = rng.next_u64_block(fitness.size)
+    return np.lexsort((keys, -fitness.astype(np.int64)))[:mu]
 
 
 def update_frequencies(counts: np.ndarray, mu: int, borders: bool) -> UpdateResult:
@@ -116,13 +116,14 @@ def update_frequencies(counts: np.ndarray, mu: int, borders: bool) -> UpdateResu
 
 def sample_and_select(
     p: FrequencyVector, mu: int, lam: int, rng: Pcg32
-) -> tuple[Population, np.ndarray]:
-    """The first half of a generation: lam offspring sampled from ``p``, and
-    the one-count at each position among the mu best of them.  The only
-    place sampling is chained to selection, and selected rows become counts.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first half of a generation: (bits, fitness, counts) of lam offspring
+    sampled from ``p``, counts being the ones at each position among the mu
+    best.  The only place fitness is formed and selected rows become counts.
     """
-    pop = sample_population(p, lam, rng)
-    return pop, count_ones(pop.bits[select_mu_best(pop, mu, rng)], axis=0)
+    bits = sample_population(p, lam, rng)
+    fitness = count_ones(bits, axis=1)
+    return bits, fitness, count_ones(bits[select_mu_best(fitness, mu, rng)], axis=0)
 
 
 def run(cfg: UmdaConfig) -> RunResult:
@@ -139,12 +140,12 @@ def run(cfg: UmdaConfig) -> RunResult:
     verdict: Verdict = "budget_exhausted"
     t = 0
     for t in range(1, cfg.budget + 1):
-        pop, counts = sample_and_select(p, cfg.mu, cfg.lam, rng)
+        _, fitness, counts = sample_and_select(p, cfg.mu, cfg.lam, rng)
         upd = update_frequencies(counts, cfg.mu, cfg.borders)
         p = upd.frequencies
         lower = int(np.count_nonzero(upd.lower_hits))
         upper = int(np.count_nonzero(upd.upper_hits))
-        best = int(pop.fitness.max())
+        best = int(fitness.max())
         telemetry.total_lower_border_hits += lower
         telemetry.total_upper_border_hits += upper
         if cfg.record_telemetry:

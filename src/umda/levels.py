@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitmodel import FrequencyVector, Population
+from .bitmodel import FrequencyVector, count_ones
 from .core import sample_and_select
 from .rng import Pcg32
 
@@ -45,14 +45,14 @@ class LevelDecomposition:
     degenerate: bool
 
 
-def decompose(pop: Population, mu: int, focal_bit: int) -> LevelDecomposition:
-    """Rank ``pop`` by fitness-without-the-focal-bit and locate the cut."""
-    lam, n = pop.bits.shape
+def decompose(bits: np.ndarray, mu: int, focal_bit: int) -> LevelDecomposition:
+    """Rank the rows of ``bits`` by fitness-without-the-focal-bit and locate the cut."""
+    lam, n = bits.shape
     if lam <= mu:
         raise ValueError(f"need lambda > mu, got lambda={lam} mu={mu}")
     if n < 2:
         raise ValueError("decomposition needs n >= 2")
-    levels = pop.fitness - pop.bits[:, focal_bit]
+    levels = count_ones(bits, axis=1) - bits[:, focal_bit]  # >= 0: the count includes it
     level_counts = np.bincount(levels, minlength=n)
     at_or_above = np.cumsum(level_counts[::-1])[::-1]
     # cut = max{i : at_or_above[i-1] > mu}, capped at the top level n-1
@@ -89,5 +89,5 @@ def focal_one_counts(
     """
     out = np.empty(trials, dtype=np.int64)
     for i in range(trials):
-        out[i] = sample_and_select(p, mu, lam, rng)[1][focal_bit]
+        out[i] = sample_and_select(p, mu, lam, rng)[2][focal_bit]
     return out

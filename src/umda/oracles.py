@@ -56,7 +56,7 @@ def poisson_binomial_pmf(p) -> PmfTable:
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1:
         raise ValueError("expected a 1-d probability sequence")
-    if np.any(p < 0.0) or np.any(p > 1.0):
+    if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN fails both compares
         raise ValueError("probabilities must lie in [0, 1]")
     m = p.size
     pmf = np.zeros(m + 1)

@@ -44,7 +44,8 @@ class GenerationStats:
 
 @dataclass
 class RunTelemetry:
-    """Accumulated per-run telemetry; totals always match the record sums."""
+    """Accumulated per-run telemetry.  The totals cover every generation and
+    equal the record sums when records are kept (``record_telemetry``)."""
 
     per_generation: list[GenerationStats] = field(default_factory=list)
     total_lower_border_hits: int = 0

@@ -184,8 +184,8 @@ def check_decomposition_invariants(
         rng = Pcg32(seed, derive_stream(cell, 0))
         p = FrequencyVector.uniform(n, borders=True)
         for t in range(per_cell):
-            pop, counts = sample_and_select(p, mu, lam, rng)
-            dec = decompose(pop, mu, focal_bit=t % n)
+            bits, fitness, counts = sample_and_select(p, mu, lam, rng)
+            dec = decompose(bits, mu, focal_bit=t % n)
             checked += 1
             ok = (
                 int(dec.level_counts.sum()) == lam
@@ -203,7 +203,7 @@ def check_decomposition_invariants(
                 )
             violations += int(not ok)
             p = update_frequencies(counts, mu, p.borders).frequencies
-            if int(pop.fitness.max()) == n:
+            if int(fitness.max()) == n:
                 p = FrequencyVector.uniform(n, borders=True)
     return CheckResult(
         name="level_decomposition_invariants",

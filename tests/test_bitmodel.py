@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy import stats as sstats
 
 from umda.bitmodel import FrequencyVector, count_ones, sample_population
+from umda.core import sample_and_select
 from umda.oracles import poisson_binomial_pmf
 from umda.rng import Pcg32
 
@@ -13,9 +14,9 @@ def onemax(bits) -> int:
     """OneMax fitness of ``bits``, as sampled from the borderless 0/1 model
     that can only produce them."""
     p = FrequencyVector(np.asarray(bits, dtype=np.float64), borders=False)
-    ind = sample_population(p, 1, Pcg32(0, 0))
-    assert ind.bits[0].tolist() == [bool(b) for b in bits]
-    return int(ind.fitness[0])
+    ind, fitness, _ = sample_and_select(p, 1, 1, Pcg32(0, 0))
+    assert ind[0].tolist() == [bool(b) for b in bits]
+    return int(fitness[0])
 
 
 def test_onemax_basics():
@@ -84,25 +85,31 @@ def test_count_ones_of_full_columns_at_dtype_boundaries(mu):
     assert count_ones(bits, axis=0).tolist() == bits.sum(axis=0, dtype=np.int64).tolist()
 
 
-def test_fitness_is_int64():
-    pop = sample_population(FrequencyVector.uniform(300), 4, Pcg32(2, 0))
-    assert pop.fitness.dtype == np.int64
-    assert pop.fitness.tolist() == pop.bits.sum(axis=1).tolist()
+def test_fitness_is_the_row_sums_of_the_bits():
+    bits, fitness, _ = sample_and_select(FrequencyVector.uniform(300), 2, 4, Pcg32(2, 0))
+    assert fitness.dtype == np.uint16  # the narrowest that holds n = 300
+    assert fitness.tolist() == bits.sum(axis=1).tolist()
+
+
+def test_sampled_bits_are_read_only():
+    bits = sample_population(FrequencyVector.uniform(8), 3, Pcg32(2, 0))
+    with pytest.raises(ValueError):
+        bits[0, 0] = not bits[0, 0]
 
 
 def test_sample_all_ones_and_all_zeros():
     p1 = FrequencyVector(np.ones(12), borders=False)
     ind = sample_population(p1, 1, Pcg32(1, 0))
-    assert ind.fitness[0] == 12 and np.all(ind.bits)
+    assert ind.sum() == 12 and np.all(ind)
     p0 = FrequencyVector(np.zeros(12), borders=False)
     ind = sample_population(p0, 1, Pcg32(1, 0))
-    assert ind.fitness[0] == 0 and not np.any(ind.bits)
+    assert ind.sum() == 0 and not np.any(ind)
 
 
 def test_sample_mean_fitness_near_half_n():
     p = FrequencyVector.uniform(100)
     pop = sample_population(p, 10**4, Pcg32(5, 0))
-    assert abs(float(pop.fitness.mean()) - 50.0) <= 1.5
+    assert abs(float(pop.sum(axis=1).mean()) - 50.0) <= 1.5
 
 
 def test_population_matches_sequential_individuals():
@@ -111,8 +118,8 @@ def test_population_matches_sequential_individuals():
     solo = Pcg32(9, 3)
     for j in range(7):
         ind = sample_population(p, 1, solo)
-        assert np.array_equal(pop.bits[j], ind.bits[0])
-        assert pop.fitness[j] == ind.fitness[0]
+        assert np.array_equal(pop[j], ind[0])
+        assert count_ones(pop, axis=1)[j] == count_ones(ind, axis=1)[0]
 
 
 def test_multi_chunk_population_matches_single_rows():
@@ -122,15 +129,15 @@ def test_multi_chunk_population_matches_single_rows():
     solo = Pcg32(10, 7)
     for j in range(20):
         row = sample_population(p, 1, solo)
-        assert np.array_equal(pop.bits[j], row.bits[0])
-        assert pop.fitness[j] == row.fitness[0]
+        assert np.array_equal(pop[j], row[0])
+        assert count_ones(pop, axis=1)[j] == count_ones(row, axis=1)[0]
 
 
 def test_sample_population_deterministic():
     p = FrequencyVector.uniform(30)
     a = sample_population(p, 50, Pcg32(2, 2))
     b = sample_population(p, 50, Pcg32(2, 2))
-    assert np.array_equal(a.bits, b.bits)
+    assert np.array_equal(a, b)
 
 
 def test_sample_population_rejects_empty():
@@ -142,7 +149,7 @@ def test_fitness_symmetric_around_half():
     # all p = 1/2: fitness - n/2 is symmetric; a sign test must not reject
     p = FrequencyVector.uniform(99)
     pop = sample_population(p, 2000, Pcg32(6, 1))
-    diffs = pop.fitness - 49.5
+    diffs = pop.sum(axis=1) - 49.5
     above = int(np.count_nonzero(diffs > 0))
     result = sstats.binomtest(above, n=2000, p=0.5)
     assert result.pvalue > 0.001
@@ -152,7 +159,7 @@ def test_per_position_frequencies():
     values = np.array([0.1, 0.25, 0.5, 0.75, 0.9])
     p = FrequencyVector(values, borders=False)
     pop = sample_population(p, 20000, Pcg32(8, 0))
-    freq = pop.bits.mean(axis=0)
+    freq = pop.mean(axis=0)
     # 5 sigma of Bernoulli(p) / sqrt(20000)
     bound = 5 * np.sqrt(values * (1 - values) / 20000)
     assert np.all(np.abs(freq - values) <= bound)
@@ -163,7 +170,7 @@ def test_onemax_distribution_matches_poisson_binomial():
     values = np.array([0.12, 0.3, 0.5, 0.44, 0.81, 0.66, 0.25, 0.9, 0.5, 0.37])
     p = FrequencyVector(values, borders=False)
     pop = sample_population(p, 10**5, rng)
-    observed = np.bincount(pop.fitness, minlength=11).astype(float)
+    observed = np.bincount(pop.sum(axis=1), minlength=11).astype(float)
     expected = poisson_binomial_pmf(values).pmf * 10**5
     # merge sparse tail bins so the chi-square approximation is valid
     keep = expected >= 5

@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
-from umda.bitmodel import FrequencyVector, Population, count_ones, sample_population
+from umda.bitmodel import FrequencyVector, count_ones, sample_population
 from umda.core import (
     UmdaConfig,
     run,
@@ -19,9 +19,8 @@ from umda.telemetry import record_generation
 
 
 def make_population(rows):
-    """Population from 0/1 rows."""
-    bits = np.array(rows, dtype=bool)
-    return Population(bits=bits, fitness=bits.sum(axis=1, dtype=np.int64))
+    """Bool matrix from 0/1 rows."""
+    return np.array(rows, dtype=bool)
 
 
 def column_counts(head, n):
@@ -37,30 +36,38 @@ class TestSelection:
         pop = make_population(
             [[1, 1, 1], [1, 1, 0], [1, 0, 0], [0, 0, 0]]
         )
+        fitness = count_ones(pop, axis=1)
         for seed in range(5):
-            chosen = select_mu_best(pop, 2, Pcg32(seed, 0))
-            assert sorted(pop.fitness[chosen].tolist()) == [2, 3]
+            chosen = select_mu_best(fitness, 2, Pcg32(seed, 0))
+            assert sorted(fitness[chosen].tolist()) == [2, 3]
 
     def test_mu_equals_lambda_returns_everyone(self):
-        pop = make_population([[1, 0], [0, 1], [1, 1]])
-        chosen = select_mu_best(pop, 3, Pcg32(0, 0))
-        assert sorted(pop.fitness[chosen].tolist()) == sorted(pop.fitness.tolist())
+        fitness = count_ones(make_population([[1, 0], [0, 1], [1, 1]]), axis=1)
+        chosen = select_mu_best(fitness, 3, Pcg32(0, 0))
+        assert sorted(fitness[chosen].tolist()) == sorted(fitness.tolist())
 
     def test_mu_larger_than_population_rejected(self):
-        pop = make_population([[1, 0], [0, 1]])
+        fitness = count_ones(make_population([[1, 0], [0, 1]]), axis=1)
         with pytest.raises(ValueError):
-            select_mu_best(pop, 3, Pcg32(0, 0))
+            select_mu_best(fitness, 3, Pcg32(0, 0))
+
+    def test_narrow_unsigned_fitness_is_not_wrapped(self):
+        # negating uint8 in place would rank 0 above 255 and pick rows [2, 1]
+        fitness = np.array([3, 255, 0, 254], dtype=np.uint8)
+        for seed in range(5):
+            chosen = select_mu_best(fitness, 2, Pcg32(seed, 0))
+            assert sorted(chosen.tolist()) == [1, 3]
 
     def test_tie_breaking_uniform_over_pairs(self):
         # four identical individuals, identified by their row index
-        bits = np.eye(4, dtype=bool)
-        pop = Population(bits=bits, fitness=np.ones(4, dtype=np.int64))
+        pop = np.eye(4, dtype=bool)
+        fitness = np.ones(4, dtype=np.int64)
         rng = Pcg32(42, 0)
         trials = 10**5
         counts = {pair: 0 for pair in combinations(range(4), 2)}
         for _ in range(trials):
-            chosen = select_mu_best(pop, 2, rng)
-            ids = tuple(sorted(int(np.argmax(row)) for row in pop.bits[chosen]))
+            chosen = select_mu_best(fitness, 2, rng)
+            ids = tuple(sorted(int(np.argmax(row)) for row in pop[chosen]))
             counts[ids] += 1
         for pair, count in counts.items():
             assert abs(count / trials - 1 / 6) <= 0.02, (pair, count)
@@ -115,19 +122,19 @@ class TestStep:
 
     def test_deterministic(self):
         p = FrequencyVector.uniform(20)
-        pop_a, counts_a = sample_and_select(p, 10, 20, Pcg32(5, 1))
-        pop_b, counts_b = sample_and_select(p, 10, 20, Pcg32(5, 1))
+        bits_a, _, counts_a = sample_and_select(p, 10, 20, Pcg32(5, 1))
+        bits_b, _, counts_b = sample_and_select(p, 10, 20, Pcg32(5, 1))
         assert np.array_equal(
             update_frequencies(counts_a, 10, p.borders).frequencies.values,
             update_frequencies(counts_b, 10, p.borders).frequencies.values,
         )
-        assert np.array_equal(pop_a.bits, pop_b.bits)
+        assert np.array_equal(bits_a, bits_b)
 
     def test_frequencies_are_multiples_of_one_over_mu_or_borders(self):
         cfg = UmdaConfig(n=20, mu=10, lam=20, master_seed=6)
         p = FrequencyVector.uniform(20)
         for t in range(1, 30):
-            _, counts = sample_and_select(p, cfg.mu, cfg.lam, cfg.make_rng())
+            _, _, counts = sample_and_select(p, cfg.mu, cfg.lam, cfg.make_rng())
             p = update_frequencies(counts, cfg.mu, p.borders).frequencies
             v = p.values
             at_border = (v == p.lower_limit) | (v == p.upper_limit)
@@ -137,25 +144,25 @@ class TestStep:
     def test_stats_describe_updated_vector(self):
         cfg = UmdaConfig(n=15, mu=5, lam=15, master_seed=7)
         p = FrequencyVector.uniform(15)
-        pop, counts = sample_and_select(p, cfg.mu, cfg.lam, cfg.make_rng())
+        _, fitness, counts = sample_and_select(p, cfg.mu, cfg.lam, cfg.make_rng())
         upd = update_frequencies(counts, cfg.mu, p.borders)
         lower, upper = int(upd.lower_hits.sum()), int(upd.upper_hits.sum())
-        stats = record_generation(upd.frequencies, lower, upper, int(pop.fitness.max()))
+        stats = record_generation(upd.frequencies, lower, upper, int(fitness.max()))
         v = upd.frequencies.values
         assert stats.sampling_variance == pytest.approx(float(np.sum(v * (1 - v))))
         assert (stats.lower_border_hits, stats.upper_border_hits) == (lower, upper)
-        assert stats.best_fitness == int(pop.fitness.max())
+        assert stats.best_fitness == int(fitness.max())
         assert (stats.min_frequency, stats.max_frequency) == (v.min(), v.max())
 
     def test_selected_are_mu_of_the_sampled(self):
         p = FrequencyVector.uniform(16)
         rng = Pcg32(8, 0)
         pop = sample_population(p, 12, rng)
-        chosen = select_mu_best(pop, 4, rng)
-        selected = pop.bits[chosen]
+        chosen = select_mu_best(count_ones(pop, axis=1), 4, rng)
+        selected = pop[chosen]
         upd = update_frequencies(count_ones(selected, axis=0), 4, p.borders)
         assert len(pop) == 12 and np.unique(chosen).size == 4
-        sampled = {row.tobytes() for row in pop.bits}
+        sampled = {row.tobytes() for row in pop}
         assert all(row.tobytes() in sampled for row in selected)
         assert np.allclose(
             upd.frequencies.values,
@@ -172,9 +179,9 @@ class TestStep:
     def test_counts_are_column_sums_of_the_selected_rows(self, n, mu, extra, seed):
         p = FrequencyVector.uniform(n, borders=False)
         rng, twin = Pcg32(seed, 1), Pcg32(seed, 1)
-        _, counts = sample_and_select(p, mu, mu + extra, rng)
+        _, _, counts = sample_and_select(p, mu, mu + extra, rng)
         pop = sample_population(p, mu + extra, twin)
-        expected = pop.bits[select_mu_best(pop, mu, twin)].sum(axis=0)
+        expected = pop[select_mu_best(pop.sum(axis=1), mu, twin)].sum(axis=0)
         assert counts.tolist() == expected.tolist()
         assert rng.state == twin.state
 
@@ -185,14 +192,14 @@ class TestStep:
         p = FrequencyVector.uniform(cfg.n)
         expected = []
         while True:
-            pop, counts = sample_and_select(p, cfg.mu, cfg.lam, rng)
+            _, fitness, counts = sample_and_select(p, cfg.mu, cfg.lam, rng)
             upd = update_frequencies(counts, cfg.mu, p.borders)
             p = upd.frequencies
             expected.append(
                 (int(upd.lower_hits.sum()), int(upd.upper_hits.sum()),
-                 int(pop.fitness.max()), cfg.n - 1 - p.values.sum(), p.values.min())
+                 int(fitness.max()), cfg.n - 1 - p.values.sum(), p.values.min())
             )
-            if pop.fitness.max() == cfg.n:
+            if fitness.max() == cfg.n:
                 break
         records = [
             (r.lower_border_hits, r.upper_border_hits, r.best_fitness,

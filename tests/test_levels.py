@@ -4,14 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from umda import core
-from umda.bitmodel import FrequencyVector, Population, sample_population
+from umda.bitmodel import FrequencyVector, count_ones, sample_population
 from umda.core import select_mu_best
 from umda.levels import decompose, focal_one_counts
 from umda.rng import Pcg32
 
 
 def population_with_levels(levels, n, focal_bit=0):
-    """Rows whose fitness-without-focal equals the given levels (focal = 0)."""
+    """Bool rows whose fitness-without-focal equals the given levels (focal = 0)."""
     lam = len(levels)
     bits = np.zeros((lam, n), dtype=bool)
     positions = [i for i in range(n) if i != focal_bit]
@@ -19,7 +19,7 @@ def population_with_levels(levels, n, focal_bit=0):
         assert level <= len(positions)
         for i in positions[:level]:
             bits[row, i] = True
-    return Population(bits=bits, fitness=bits.sum(axis=1))
+    return bits
 
 
 def test_hand_ranked_toy_one():
@@ -117,10 +117,9 @@ def test_first_class_survive_selection_with_focal_forced_to_zero():
         dec = decompose(pop, mu, focal_bit=0)
         if dec.degenerate or dec.first_class_ids.size == 0:
             continue
-        bits = pop.bits.copy()
-        bits[dec.first_class_ids, 0] = False
-        forced = Population(bits=bits, fitness=bits.sum(axis=1))
-        chosen = select_mu_best(forced, mu, rng)
+        forced = pop.copy()
+        forced[dec.first_class_ids, 0] = False
+        chosen = select_mu_best(count_ones(forced, axis=1), mu, rng)
         assert set(dec.first_class_ids.tolist()) <= set(chosen.tolist())
 
 

@@ -54,8 +54,12 @@ class TestPoissonBinomialPmf:
         assert table.variance == pytest.approx(0.16 + 0.24 + 0.24)
 
     def test_rejects_bad_probabilities(self):
-        with pytest.raises(ValueError):
-            poisson_binomial_pmf([0.5, 1.2])
+        for bad in ([0.5, 1.2], [0.5, -0.1], [0.5, float("nan")], [float("nan")]):
+            with pytest.raises(ValueError):
+                poisson_binomial_pmf(bad)
+
+    def test_empty_sequence_is_a_point_mass_at_zero(self):
+        assert poisson_binomial_pmf([]).pmf.tolist() == [1.0]
 
     @given(
         p=st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=1, max_size=10)
@@ -154,6 +158,10 @@ class TestCappedBinomial:
     def test_degenerate_probability(self, p):
         assert capped_binomial_lower_bound(3, 6, p) == pytest.approx(3 * p)
         assert expected_min_capped_binomial(3, 6, p) == pytest.approx(3 * p)
+
+    def test_rejects_nan_probability(self):
+        with pytest.raises(ValueError):
+            expected_min_capped_binomial(2, 4, float("nan"))
 
     def test_rejects_bad_cap(self):
         for func in (expected_min_capped_binomial, capped_binomial_lower_bound):

@@ -188,7 +188,7 @@ def test_stream_independence_lag0():
 def _bernoulli_draws(p, count, seed, stream):
     """``count`` draws of the threshold rule u / 2^32 < p on one stream."""
     model = FrequencyVector(np.array([p]), borders=False)
-    return sample_population(model, count, Pcg32(seed, stream)).bits[:, 0]
+    return sample_population(model, count, Pcg32(seed, stream))[:, 0]
 
 
 def test_bernoulli_degenerate():
@@ -210,7 +210,7 @@ def test_bernoulli_rejects_bad_probability(p):
 def test_mapping_to_unit_interval():
     probs = np.linspace(0.0, 1.0, 100)
     model = FrequencyVector(probs, borders=False)
-    bits = sample_population(model, 1, Pcg32(9, 9)).bits[0]
+    bits = sample_population(model, 1, Pcg32(9, 9))[0]
     peek = Pcg32(9, 9)
     for i in range(100):
         u = peek.next_u32() / 2**32
@@ -224,7 +224,7 @@ THRESHOLD_EDGES = [0.0, 2**-32, 1 / 7, 0.5, 0.5 - 2**-33, 1 - 1 / 7, 1 - 2**-32,
 def test_integer_threshold_matches_scalar_rule():
     probs = np.array(THRESHOLD_EDGES)
     lam = 500
-    bits = sample_population(FrequencyVector(probs, borders=False), lam, Pcg32(6, 2)).bits
+    bits = sample_population(FrequencyVector(probs, borders=False), lam, Pcg32(6, 2))
     peek = Pcg32(6, 2)
     expected = [[peek.next_u32() / 2**32 < p for p in probs] for _ in range(lam)]
     assert bits.tolist() == expected
@@ -246,5 +246,5 @@ def test_integer_threshold_at_the_boundary_draws(p):
     edge = int(np.ceil(p * 2**32))
     draws = sorted({0, 2**32 - 1} | {min(max(u, 0), 2**32 - 1) for u in (edge - 1, edge)})
     model = FrequencyVector(np.array([p]), borders=False)
-    bits = sample_population(model, len(draws), _FixedDraws(draws)).bits[:, 0]
+    bits = sample_population(model, len(draws), _FixedDraws(draws))[:, 0]
     assert bits.tolist() == [u / 2**32 < p for u in draws]

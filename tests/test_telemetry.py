@@ -81,6 +81,27 @@ def test_run_telemetry_invariants():
         assert stats.sampling_variance <= stats.potential + 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("borders", [True, False])
+def test_telemetry_free_twin_matches_the_recorded_run(borders):
+    # the sweeps run with record_telemetry=False; the totals still count
+    on, off = (
+        run(UmdaConfig(n=40, mu=8, lam=24, borders=borders, master_seed=1,
+                       run_index=3, record_telemetry=record))
+        for record in (True, False)
+    )
+    assert on.generations > 2 and on.telemetry.total_lower_border_hits > 0
+    assert len(on.telemetry.per_generation) == on.generations
+    assert off.telemetry.per_generation == []
+    for result in (on, off):
+        assert result.verdict == on.verdict
+        assert (result.generations, result.evaluations) == (on.generations, on.evaluations)
+        assert result.telemetry.total_lower_border_hits == sum(
+            s.lower_border_hits for s in on.telemetry.per_generation)
+        assert result.telemetry.total_upper_border_hits == sum(
+            s.upper_border_hits for s in on.telemetry.per_generation)
+        assert np.array_equal(result.final_frequencies.values, on.final_frequencies.values)
+
+
 def test_phi_drift_floor_above_quarter():
     # Desk-scale drift regression: with every frequency at least 1/4, the
     # potential falls by at least 0.2 * sqrt(phi) per generation on average
