@@ -1,13 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
-from umda.bitmodel import FrequencyVector, count_ones, sample_population
+from umda.bitmodel import BLOCK_DRAWS, FrequencyVector, count_ones, sample_population
 from umda.core import sample_and_select
 from umda.oracles import poisson_binomial_pmf
-from umda.rng import Pcg32
+from umda.rng import CHUNK, TWO_POW_32, Pcg32
 
 
 def onemax(bits) -> int:
@@ -68,6 +70,19 @@ class TestFrequencyVector:
         p = FrequencyVector.uniform(4)
         with pytest.raises(ValueError):
             p.values[0] = 0.9
+
+    def test_callers_array_stays_writeable(self):
+        v = np.full(4, 0.5)
+        FrequencyVector(v, borders=True)
+        v[0] = 0.9
+        assert v.flags.writeable
+
+    def test_values_do_not_alias_a_view(self):
+        w = np.full(4, 0.5)
+        q = FrequencyVector(w[:], borders=True)
+        w[0] = 0.9
+        w[1] = np.nan
+        assert q.values.tolist() == [0.5] * 4
 
 
 @pytest.mark.parametrize("n", [255, 256, 65535, 65536])
@@ -131,6 +146,85 @@ def test_multi_chunk_population_matches_single_rows():
         row = sample_population(p, 1, solo)
         assert np.array_equal(pop[j], row[0])
         assert count_ones(pop, axis=1)[j] == count_ones(row, axis=1)[0]
+
+
+def whole_block(p, lam, seed, stream):
+    """The population compared against one lam*n block of draws, and the
+    generator after it."""
+    rng = Pcg32(seed, stream)
+    u = rng.next_u32_block(lam * p.n).reshape(lam, p.n)
+    threshold = np.ceil(p.values * TWO_POW_32)
+    bits = u < np.minimum(threshold, TWO_POW_32 - 1).astype(np.uint32)
+    bits[:, threshold == TWO_POW_32] = True
+    return bits, rng.state
+
+
+@pytest.mark.parametrize(
+    "lam, n",
+    [
+        (7, BLOCK_DRAWS // 3 + 1),  # two rows a block, a one-row last block
+        (3, BLOCK_DRAWS + CHUNK + 5),  # n > BLOCK_DRAWS > CHUNK: one row a block
+        (BLOCK_DRAWS // 1024, 1024),  # lam*n == BLOCK_DRAWS: one block, no remainder
+        (BLOCK_DRAWS // 1024 + 1, 1024),  # one row past it
+    ],
+)
+def test_row_blocks_equal_one_whole_block(lam, n):
+    p = FrequencyVector(np.linspace(0.02, 0.98, n), borders=False)
+    rng = Pcg32(14, 5)
+    bits = sample_population(p, lam, rng)
+    expected, state = whole_block(p, lam, 14, 5)
+    assert np.array_equal(bits, expected)
+    assert rng.state == state
+
+
+def seed_drawing_all_ones_at(pos, stream):
+    """A seed whose stream's draw ``pos`` is 2^32 - 1, the one draw that the
+    uint32 threshold 2^32 - 1 of a p = 1 column would turn into a 0.
+
+    XSH-RR gives all ones when bits 27..58 of s ^ (s >> 18) are; that map is
+    inverted by xoring in the shifts by 18, 36 and 54.  The LCG is stepped
+    back ``pos`` times from that state, then back through the constructor.
+    """
+    mult, mask = 6364136223846793005, (1 << 64) - 1
+    inv = pow(mult, -1, 1 << 64)
+    inc = ((stream << 1) | 1) & mask
+    y = ((1 << 32) - 1) << 27
+    state = y ^ (y >> 18) ^ (y >> 36) ^ (y >> 54)
+    for _ in range(pos):
+        state = (state - inc) * inv & mask
+    return ((state - inc) * inv - inc) & mask
+
+
+def test_borderless_one_columns_across_blocks():
+    n = 3000
+    values = np.linspace(0.0, 1.0, n)
+    values[::7] = 1.0
+    p = FrequencyVector(values, borders=False)
+    rows = BLOCK_DRAWS // n
+    lam = 3 * rows + 2
+    # an all-ones draw in a p = 1 column of the third block
+    row, col = 2 * rows + 1, 700
+    seed = seed_drawing_all_ones_at(row * n + col, 2)
+    assert Pcg32(seed, 2).next_u32_block(row * n + col + 1)[-1] == 2**32 - 1
+    rng = Pcg32(seed, 2)
+    bits = sample_population(p, lam, rng)
+    expected, state = whole_block(p, lam, seed, 2)
+    assert np.array_equal(bits, expected)
+    assert rng.state == state
+    assert bits[:, ::7].all()
+
+
+def test_sampling_memory_is_bounded_by_the_row_block():
+    p, lam, rng = FrequencyVector.uniform(2000), 300, Pcg32(16, 0)
+    sample_population(p, lam, rng)  # the generator's chunk scratch
+    tracemalloc.start()
+    try:
+        sample_population(p, lam, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the bool matrix plus twice a uint32 block, not a lam*n uint32 block
+    assert peak < lam * p.n + 2 * 4 * BLOCK_DRAWS
 
 
 def test_sample_population_deterministic():
