@@ -3,10 +3,11 @@
 Output files are semicolon-separated with a fixed column layout (lambda,
 average evaluations, average lower-border hits, success fraction, average
 generations); decimals carry 6 significant digits in fixed notation.  Every
-experiment hands its runs to ``run_batch``, which dispatches them to a
-worker pool; per-run streams are derived from (master seed, setting, run
-index) and results come back in run-index order, so they never depend on
-scheduling.
+experiment hands its runs to ``run_batch`` as (setting, UmdaConfig) pairs,
+one template config per swept value; run k of a setting is its template on
+stream derive_stream(setting, k), so the streams depend only on (master
+seed, setting, run index).  The runs go to a worker pool and come back in
+run-index order, so results never depend on scheduling.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 import operator
 import os
 from concurrent import futures
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from decimal import Decimal
 from typing import NamedTuple
 
@@ -101,7 +102,7 @@ _RULE_OPERATORS = {
     ast.Mult: operator.mul,
     ast.Div: operator.truediv,
     ast.FloorDiv: operator.floordiv,
-    ast.Pow: operator.pow,
+    ast.Pow: math.pow,
     ast.USub: operator.neg,
     ast.UAdd: operator.pos,
 }
@@ -141,7 +142,7 @@ def evaluate_rule(expr: str, **variables: float) -> float:
         raise ValueError(f"cannot parse rule {expr!r}: {exc}") from exc
     try:
         value = float(ev(tree))
-    except ArithmeticError as exc:  # division by zero, overflow
+    except (ArithmeticError, TypeError) as exc:  # division by zero, overflow, arity
         raise ValueError(f"cannot evaluate rule {expr!r}: {exc}") from exc
     if not math.isfinite(value):
         raise ValueError(f"rule {expr!r} evaluates to {value}")
@@ -182,35 +183,31 @@ class SweepConfig:
             raise ValueError(f"empty lambda range {self.lambda_values}")
         if self.runs_per_setting < 1:
             raise ValueError("runs_per_setting must be >= 1")
-        for lam in self.lambdas():
-            mu = self.mu_for(lam)
-            if not 1 <= mu < lam:
-                raise ValueError(
-                    f"mu rule {self.mu_rule!r} gives mu={mu} for lambda={lam}"
-                )
+        self.settings()  # each run config checks n, mu, the seed and the budget
 
-    def lambdas(self) -> list[int]:
+    def settings(self) -> list[tuple[int, UmdaConfig]]:
+        """One (lambda, UmdaConfig) pair per swept lambda, mu from mu_rule."""
         start, stop, step = self.lambda_values
-        return list(range(start, stop + 1, step))
-
-    def mu_for(self, lam: int) -> int:
-        return int_rule(self.mu_rule, lam=lam, n=self.n)
+        return [
+            (lam, UmdaConfig(
+                n=self.n, mu=int_rule(self.mu_rule, lam=lam, n=self.n), lam=lam,
+                borders=self.borders, max_generations=self.max_generations,
+                master_seed=self.master_seed,
+            ))
+            for lam in range(start, stop + 1, step)
+        ]
 
 
 def _parse_lambda_values(text: str) -> tuple[int, int, int]:
-    parts = text.replace(",", ":").split(":")
+    parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"lambda_values must be start:stop:step, got {text!r}")
-    start, stop, step = (int(p) for p in parts)
-    return start, stop, step
+    return tuple(int(p) for p in parts)
 
 
 def _parse_borders(text: str) -> bool:
-    value = text.strip().lower()
-    if value in ("restricted", "true", "on", "1"):
-        return True
-    if value in ("unrestricted", "false", "off", "0"):
-        return False
+    if text in ("restricted", "unrestricted"):
+        return text == "restricted"
     raise ValueError(f"borders must be restricted or unrestricted, got {text!r}")
 
 
@@ -245,16 +242,15 @@ def _run_summary(cfg: UmdaConfig) -> RunSummary:
     )
 
 
-def run_batch(
-    settings, runs: int, master_seed: int, threads: int | None, **shared
-) -> list[list[RunSummary]]:
-    """``runs`` telemetry-free runs per (setting, params) pair, on one pool.
+def run_batch(settings, runs: int, threads: int | None) -> list[list[RunSummary]]:
+    """``runs`` telemetry-free runs of each (setting, UmdaConfig) pair, on one pool.
 
-    Run k of a setting takes its config fields from ``shared`` and
-    ``params`` and draws from stream derive_stream(setting, k).  The
-    summaries come back split by setting, in the order of ``settings`` and,
-    within each, in run-index order.  The pool has ``threads`` workers, by
-    default one per CPU this process may run on, and never more than runs.
+    Run k of a setting is its template config with run_index set to
+    derive_stream(setting, k) and record_telemetry off; the template's own
+    values of those two fields are ignored.  The summaries come back split
+    by setting, in the order of ``settings`` and, within each, in run-index
+    order.  The pool has ``threads`` workers, by default one per CPU this
+    process may run on, and never more than runs.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
@@ -266,14 +262,8 @@ def run_batch(
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     configs = [
-        UmdaConfig(
-            **shared,
-            **params,
-            master_seed=master_seed,
-            run_index=derive_stream(setting, k),
-            record_telemetry=False,
-        )
-        for setting, params in settings
+        replace(cfg, run_index=derive_stream(setting, k), record_telemetry=False)
+        for setting, cfg in settings
         for k in range(runs)
     ]
     workers = min(threads, len(configs))
@@ -305,16 +295,8 @@ def run_sweep(cfg: SweepConfig, threads: int | None = None) -> list[SweepRow]:
     stagnated in borderless mode) are excluded from the averages and show up
     in success_fraction instead.
     """
-    lambdas = cfg.lambdas()
-    batches = run_batch(
-        [(lam, {"mu": cfg.mu_for(lam), "lam": lam}) for lam in lambdas],
-        cfg.runs_per_setting,
-        cfg.master_seed,
-        threads,
-        n=cfg.n,
-        borders=cfg.borders,
-        max_generations=cfg.max_generations,
-    )
+    settings = cfg.settings()
+    batches = run_batch(settings, cfg.runs_per_setting, threads)
     return [
         SweepRow(
             lam=lam,
@@ -323,7 +305,7 @@ def run_sweep(cfg: SweepConfig, threads: int | None = None) -> list[SweepRow]:
             success_fraction=_fraction(batch, "optimum_found"),
             avg_generations=_over_successes(np.mean, batch, "generations"),
         )
-        for lam, batch in zip(lambdas, batches)
+        for (lam, _), batch in zip(settings, batches)
     ]
 
 
@@ -336,7 +318,6 @@ class ScalingRow:
     n: int
     mu: int
     lam: int
-    runs: int
     success_fraction: float
     median_generations: float
     median_evaluations: float
@@ -373,21 +354,22 @@ def run_scaling_study(
     if any(a >= b for a, b in zip(n_values, n_values[1:])):
         raise ValueError(f"n_values must be strictly increasing, got {n_values}")
     mus = [int_rule(mu_rule, n=n) for n in n_values]
-    settings = [(n, {"n": n, "mu": mu, "lam": 2 * mu}) for n, mu in zip(n_values, mus)]
-    batches = run_batch(
-        settings, runs, master_seed, threads, borders=borders, max_generations=max_generations
-    )
+    settings = [
+        (n, UmdaConfig(n=n, mu=mu, lam=2 * mu, borders=borders,
+                       max_generations=max_generations, master_seed=master_seed))
+        for n, mu in zip(n_values, mus)
+    ]
+    batches = run_batch(settings, runs, threads)
     rows = [
         ScalingRow(
             n=n,
-            mu=params["mu"],
-            lam=params["lam"],
-            runs=runs,
+            mu=cfg.mu,
+            lam=cfg.lam,
             success_fraction=_fraction(batch, "optimum_found"),
             median_generations=_over_successes(np.median, batch, "generations"),
             median_evaluations=_over_successes(np.median, batch, "evaluations"),
         )
-        for (n, params), batch in zip(settings, batches)
+        for (n, cfg), batch in zip(settings, batches)
     ]
     finite = [
         (row.n, row.median_generations)
@@ -410,7 +392,6 @@ def run_scaling_study(
 class PhaseOutcome:
     mu: int
     lam: int
-    runs: int
     stagnated_fraction: float
     success_fraction: float
     budget_fraction: float
@@ -433,21 +414,21 @@ def run_phase_transition_probe(
     """
     if not mu_small < mu_large:
         raise ValueError("need mu_small < mu_large")
-    settings = [(mu, {"mu": mu, "lam": 2 * mu}) for mu in (mu_small, mu_large)]
-    batches = run_batch(
-        settings, runs, master_seed, threads,
-        n=n, borders=False, max_generations=max_generations,
-    )
+    settings = [
+        (mu, UmdaConfig(n=n, mu=mu, lam=2 * mu, borders=False,
+                        max_generations=max_generations, master_seed=master_seed))
+        for mu in (mu_small, mu_large)
+    ]
+    batches = run_batch(settings, runs, threads)
     small, large = (
         PhaseOutcome(
-            mu=mu,
-            lam=params["lam"],
-            runs=runs,
+            mu=cfg.mu,
+            lam=cfg.lam,
             stagnated_fraction=_fraction(batch, "stagnated"),
             success_fraction=_fraction(batch, "optimum_found"),
             budget_fraction=_fraction(batch, "budget_exhausted"),
         )
-        for (mu, params), batch in zip(settings, batches)
+        for (_, cfg), batch in zip(settings, batches)
     )
     return small, large
 

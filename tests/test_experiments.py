@@ -5,7 +5,9 @@ from dataclasses import fields
 import pytest
 
 from curve_shape import has_interior_min_then_max, moving_average
+from umda import experiments
 from umda.cli import main
+from umda.core import UmdaConfig
 from umda.experiments import (
     SWEEP_SETTINGS,
     SweepConfig,
@@ -135,7 +137,9 @@ class TestStreams:
 class TestSweepConfig:
     def test_lambda_range_inclusive(self):
         cfg = SweepConfig(n=50, lambda_values=(10, 30, 10), runs_per_setting=1)
-        assert cfg.lambdas() == [10, 20, 30]
+        assert [(lam, c.mu, c.lam) for lam, c in cfg.settings()] == [
+            (10, 5, 10), (20, 10, 20), (30, 15, 30)
+        ]
 
     def test_rejects_bad_step_and_range(self):
         with pytest.raises(ValueError):
@@ -146,6 +150,29 @@ class TestSweepConfig:
     def test_rejects_mu_rule_violating_selection(self):
         with pytest.raises(ValueError):
             SweepConfig(n=50, lambda_values=(4, 8, 2), mu_rule="lam")
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("n", 0, "need n >= 1"),
+            ("master_seed", 2**64, "master_seed must be in"),
+            ("max_generations", -1, "max_generations must be >= 0"),
+        ],
+    )
+    def test_rejects_what_its_runs_would_reject(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            SweepConfig(**{"n": 20, "lambda_values": (4, 8, 2), field: value})
+
+    @pytest.mark.parametrize(
+        "key, value", [("borders", "true"), ("lambda_values", "10,150,4")]
+    )
+    def test_undocumented_spelling_is_a_config_error(self, key, value, tmp_path):
+        mapping = {"n": "30", "lambda_values": "10:10:1", key: value}
+        with pytest.raises(ValueError):
+            sweep_config_from_mapping(mapping)
+        path = tmp_path / "s.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in mapping.items()))
+        assert main(["--config", str(path), "--threads", "1", "sweep"]) == 1
 
     def test_config_file_round_trip(self, tmp_path):
         path = tmp_path / "sweep.cfg"
@@ -231,6 +258,19 @@ class TestSweep:
         assert row.avg_evaluations == pytest.approx(10 * row.avg_generations)
 
 
+def _record_configs(monkeypatch):
+    """Record the config of each run that run_batch hands to a worker."""
+    seen = []
+    summary = experiments._run_summary
+
+    def recording(cfg):
+        seen.append(cfg)
+        return summary(cfg)
+
+    monkeypatch.setattr(experiments, "_run_summary", recording)
+    return seen
+
+
 def _record_pools(monkeypatch):
     """Replace the process pool with one that maps in this process and
     records each pool's worker count."""
@@ -277,21 +317,49 @@ class TestScalingAndPhase:
 
     def test_batch_rejects_zero_runs(self):
         with pytest.raises(ValueError, match="runs must be >= 1"):
-            run_batch([(8, {"mu": 4, "lam": 8})], 0, 0, 1, n=10, borders=True)
+            run_batch([(8, UmdaConfig(n=10, mu=4, lam=8))], 0, 1)
 
     def test_pool_is_no_larger_than_the_batch(self, monkeypatch):
         built = _record_pools(monkeypatch)
-        settings = [(8, {"mu": 4, "lam": 8})]
-        pooled = run_batch(settings, 3, 5, 64, n=10, borders=True)
+        settings = [(8, UmdaConfig(n=10, mu=4, lam=8, master_seed=5))]
+        pooled = run_batch(settings, 3, 64)
         assert built == [3]
-        assert pooled == run_batch(settings, 3, 5, 1, n=10, borders=True)
+        assert pooled == run_batch(settings, 3, 1)
 
     def test_default_threads_follow_cpu_affinity(self, monkeypatch):
         built = _record_pools(monkeypatch)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        run_batch([(8, {"mu": 4, "lam": 8})], 3, 5, None, n=10, borders=True)
+        run_batch([(8, UmdaConfig(n=10, mu=4, lam=8, master_seed=5))], 3, None)
         assert built == []
+
+    def test_template_run_index_and_telemetry_do_not_leak(self, monkeypatch):
+        seen = _record_configs(monkeypatch)
+        plain = UmdaConfig(n=10, mu=4, lam=8, master_seed=5)
+        stamped = UmdaConfig(
+            n=10, mu=4, lam=8, master_seed=5, run_index=77, record_telemetry=True
+        )
+        assert run_batch([(8, stamped)], 3, 1) == run_batch([(8, plain)], 3, 1)
+        assert [c.run_index for c in seen] == [derive_stream(8, k) for k in range(3)] * 2
+        assert not any(c.record_telemetry for c in seen)
+
+    def test_each_experiment_runs_stream_setting_and_run_index(self, monkeypatch):
+        seen = _record_configs(monkeypatch)
+        run_sweep(SweepConfig(n=20, lambda_values=(8, 12, 4), runs_per_setting=2,
+                              max_generations=3), threads=1)
+        assert [(c.lam, c.run_index) for c in seen] == [
+            (s, derive_stream(s, k)) for s in (8, 12) for k in range(2)
+        ]
+        seen.clear()
+        run_scaling_study([16, 24], "3", runs=2, max_generations=3, threads=1)
+        assert [(c.n, c.run_index) for c in seen] == [
+            (s, derive_stream(s, k)) for s in (16, 24) for k in range(2)
+        ]
+        seen.clear()
+        run_phase_transition_probe(20, 2, 4, runs=2, max_generations=3, threads=1)
+        assert [(c.mu, c.run_index) for c in seen] == [
+            (s, derive_stream(s, k)) for s in (2, 4) for k in range(2)
+        ]
 
     def test_phase_probe_orders_mus(self):
         with pytest.raises(ValueError):
@@ -524,6 +592,11 @@ class TestCli:
             ["scaling", "--n-values", "16,32", "--mu-rule", "n/0"],
             ["sweep", "--n", "10", "--lambdas", "4:4:1", "--runs", "1", "--mu-rule", "10**400"],
             ["sweep", "--n", "10", "--lambdas", "4:4:1", "--runs", "1", "--mu-rule", "1e308*10"],
+            ["sweep", "--n", "10", "--lambdas", "4:4:1", "--runs", "1", "--mu-rule", "min()"],
+            ["sweep", "--n", "10", "--lambdas", "4:4:1", "--runs", "1", "--mu-rule", "sqrt(1,2)"],
+            ["sweep", "--n", "10", "--lambdas", "4:4:1", "--runs", "1", "--mu-rule", "(-8)**0.5"],
+            # as an exact integer power this does not finish
+            ["sweep", "--n", "10", "--lambdas", "4:4:1", "--runs", "1", "--mu-rule", "9**9**9"],
         ],
     )
     def test_rule_arithmetic_error_is_a_config_error(self, argv, capsys):
