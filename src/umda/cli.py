@@ -11,6 +11,7 @@ import os
 import sys
 
 from .experiments import (
+    CSV_HEADER,
     SWEEP_SETTINGS,
     ScalingResult,
     SweepConfig,
@@ -126,6 +127,8 @@ def _cmd_sweep(args) -> int:
         emit_csv(rows, cfg.output_path, header=args.header)
         print(f"wrote {len(rows)} rows to {cfg.output_path}")
     else:
+        if args.header:
+            print(CSV_HEADER)
         for row in rows:
             print(row.line())
     return EXIT_OK

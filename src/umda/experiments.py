@@ -112,7 +112,8 @@ def evaluate_rule(expr: str, **variables: float) -> float:
     """Evaluate a parameter rule like ``"3*sqrt(n)*log(n)"`` or ``"lam/2"``.
 
     Only numeric literals, the given variables, sqrt/log/log2/ceil/floor/
-    min/max, and the basic arithmetic operators are allowed.
+    min/max, and the basic arithmetic operators are allowed.  Every failure,
+    from parsing to a non-finite value, is a ValueError that names the rule.
     """
 
     def ev(node):
@@ -123,7 +124,7 @@ def evaluate_rule(expr: str, **variables: float) -> float:
         if isinstance(node, ast.Name):
             if node.id in variables:
                 return variables[node.id]
-            raise ValueError(f"unknown name {node.id!r} in rule {expr!r}")
+            raise ValueError(f"unknown name {node.id!r}")
         op = _RULE_OPERATORS.get(type(getattr(node, "op", None)))
         if isinstance(node, ast.BinOp) and op:
             return op(ev(node.left), ev(node.right))
@@ -132,20 +133,17 @@ def evaluate_rule(expr: str, **variables: float) -> float:
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
             fn = _RULE_FUNCTIONS.get(node.func.id)
             if fn is None or node.keywords:
-                raise ValueError(f"unsupported call in rule {expr!r}")
+                raise ValueError("unsupported call")
             return fn(*[ev(a) for a in node.args])
-        raise ValueError(f"unsupported syntax in rule {expr!r}")
+        raise ValueError("unsupported syntax")
 
     try:
-        tree = ast.parse(expr, mode="eval")
-    except SyntaxError as exc:
-        raise ValueError(f"cannot parse rule {expr!r}: {exc}") from exc
-    try:
-        value = float(ev(tree))
-    except (ArithmeticError, TypeError) as exc:  # division by zero, overflow, arity
+        value = float(ev(ast.parse(expr, mode="eval")))
+        if not math.isfinite(value):
+            raise ValueError(f"not finite: {value}")
+    # RecursionError: a rule nested or chained too deep to parse or to walk
+    except (SyntaxError, ValueError, ArithmeticError, TypeError, RecursionError) as exc:
         raise ValueError(f"cannot evaluate rule {expr!r}: {exc}") from exc
-    if not math.isfinite(value):
-        raise ValueError(f"rule {expr!r} evaluates to {value}")
     return value
 
 
@@ -183,7 +181,8 @@ class SweepConfig:
             raise ValueError(f"empty lambda range {self.lambda_values}")
         if self.runs_per_setting < 1:
             raise ValueError("runs_per_setting must be >= 1")
-        self.settings()  # each run config checks n, mu, the seed and the budget
+        for lam, _ in self.settings():  # each run config checks n, mu, seed, budget
+            derive_stream(lam, self.runs_per_setting - 1)  # and the last run's stream
 
     def settings(self) -> list[tuple[int, UmdaConfig]]:
         """One (lambda, UmdaConfig) pair per swept lambda, mu from mu_rule."""

@@ -84,11 +84,6 @@ class Pcg32:
         rot = old >> 59
         return ((xorshifted >> rot) | (xorshifted << ((-rot) & 31))) & _MASK32
 
-    def next_u64(self) -> int:
-        """Two consecutive u32 draws combined as (high << 32) | low."""
-        hi = self.next_u32()
-        return (hi << 32) | self.next_u32()
-
     def next_u32_block(self, count: int) -> np.ndarray:
         """Vectorized batch of ``count`` outputs, identical to scalar draws.
 

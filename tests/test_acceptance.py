@@ -169,17 +169,20 @@ def test_09_borderless_phase_transition():
     )
 
 
+#: The desk-scale sweep; scripts/desk_sweep.cfg holds the same settings.
+DESK_SWEEP = SweepConfig(
+    n=500,
+    lambda_values=(10, 150, 4),
+    mu_rule="lam/2",
+    borders=True,
+    runs_per_setting=200,
+    master_seed=10,
+)
+
+
 def test_10_desk_scale_sweep_shape():
     started = time.perf_counter()
-    cfg = SweepConfig(
-        n=500,
-        lambda_values=(10, 150, 4),
-        mu_rule="lam/2",
-        borders=True,
-        runs_per_setting=200,
-        master_seed=10,
-    )
-    rows = run_sweep(cfg)
+    rows = run_sweep(DESK_SWEEP)
     elapsed = time.perf_counter() - started
     assert all(row.success_fraction > 0 for row in rows)
     smoothed = moving_average([row.avg_evaluations for row in rows], window=5)

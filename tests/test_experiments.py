@@ -1,14 +1,17 @@
 import math
 import os
-from dataclasses import fields
+from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
 from curve_shape import has_interior_min_then_max, moving_average
+from test_acceptance import DESK_SWEEP
 from umda import experiments
 from umda.cli import main
 from umda.core import UmdaConfig
 from umda.experiments import (
+    CSV_HEADER,
     SWEEP_SETTINGS,
     SweepConfig,
     SweepRow,
@@ -24,6 +27,12 @@ from umda.experiments import (
     sweep_config_from_mapping,
 )
 from umda.rng import derive_stream
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+#: Rules that fail outside arithmetic: two math domain errors, and a chain
+#: too deep to walk recursively.
+DOMAIN_AND_DEPTH_RULES = ["sqrt(-1)", "log(0)", "lam/2" + "+0" * 1000]
 
 
 class TestFormatting:
@@ -106,6 +115,12 @@ class TestRules:
         with pytest.raises(ValueError):
             evaluate_rule("max(n, key=abs)", n=10)
 
+    @pytest.mark.parametrize("rule", DOMAIN_AND_DEPTH_RULES, ids=["sqrt", "log", "chain"])
+    def test_every_failure_names_the_rule(self, rule):
+        with pytest.raises(ValueError) as info:
+            evaluate_rule(rule, n=10, lam=4)
+        assert f"cannot evaluate rule {rule!r}:" in str(info.value)
+
 
 class TestStreams:
     def test_injective_over_grid(self):
@@ -157,6 +172,9 @@ class TestSweepConfig:
             ("n", 0, "need n >= 1"),
             ("master_seed", 2**64, "master_seed must be in"),
             ("max_generations", -1, "max_generations must be >= 0"),
+            # a stream derive_stream rejects: lambda 2**31, run index 2**32
+            ("lambda_values", (2**31, 2**31, 1), "setting must be in"),
+            ("runs_per_setting", 2**32 + 1, "run_index must fit in 32 bits"),
         ],
     )
     def test_rejects_what_its_runs_would_reject(self, field, value, message):
@@ -221,6 +239,22 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match=r"dup\.cfg:3: duplicate key 'n'"):
             parse_config_file(str(path))
         assert main(["--config", str(path), "--threads", "1", "sweep"]) == 1
+
+
+class TestPresets:
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            ("desk_sweep.cfg", replace(DESK_SWEEP, output_path="umda500-200.txt")),
+            ("paper_sweep.cfg", SweepConfig(
+                n=2000, lambda_values=(14, 350, 2), mu_rule="lam/2", borders=True,
+                runs_per_setting=3000, master_seed=0, output_path="umda2000-3000.txt",
+            )),
+        ],
+    )
+    def test_preset_file_is_its_documented_sweep(self, name, expected):
+        mapping = parse_config_file(str(SCRIPTS / name))
+        assert sweep_config_from_mapping(mapping) == expected
 
 
 class TestSweep:
@@ -413,6 +447,14 @@ class TestCli:
         printed = capsys.readouterr().out.strip()
         assert printed.startswith("10;")
 
+    def test_header_on_stdout(self, capsys):
+        rc = main(["--threads", "1", "sweep", "--n", "20", "--lambdas", "4:8:4",
+                   "--runs", "2", "--header"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == CSV_HEADER
+        assert [line.split(";")[0] for line in lines[1:]] == ["4", "8"]
+
     def test_config_file_with_flag_overrides(self, tmp_path):
         cfgfile = tmp_path / "s.cfg"
         cfgfile.write_text("n = 30\nlambda_values = 10:10:1\nruns_per_setting = 2\n")
@@ -597,11 +639,15 @@ class TestCli:
             ["sweep", "--n", "10", "--lambdas", "4:4:1", "--runs", "1", "--mu-rule", "(-8)**0.5"],
             # as an exact integer power this does not finish
             ["sweep", "--n", "10", "--lambdas", "4:4:1", "--runs", "1", "--mu-rule", "9**9**9"],
+        ] + [
+            ["sweep", "--n", "10", "--lambdas", "4:4:1", "--runs", "1", "--mu-rule", rule]
+            for rule in DOMAIN_AND_DEPTH_RULES
         ],
     )
     def test_rule_arithmetic_error_is_a_config_error(self, argv, capsys):
         assert main(["--threads", "1"] + argv) == 1
-        assert "configuration error:" in capsys.readouterr().err
+        rule = argv[argv.index("--mu-rule") + 1]
+        assert f"configuration error: cannot evaluate rule {rule!r}:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command",

@@ -98,7 +98,10 @@ def test_block_equals_scalar_sequence(seed, stream, chunks):
 def test_u64_block_matches_scalar_u64():
     a = Pcg32(5, 6)
     b = Pcg32(5, 6)
-    assert a.next_u64_block(10).tolist() == [b.next_u64() for _ in range(10)]
+    # Python evaluates operands left to right, so the first draw is the high word
+    assert a.next_u64_block(10).tolist() == [
+        (b.next_u32() << 32) | b.next_u32() for _ in range(10)
+    ]
 
 
 @pytest.mark.parametrize("count", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
@@ -122,7 +125,9 @@ def test_u64_block_across_a_chunk_boundary():
     for _ in range(5):
         b.next_u32()
     count = CHUNK // 2 + 3
-    assert a.next_u64_block(count).tolist() == [b.next_u64() for _ in range(count)]
+    assert a.next_u64_block(count).tolist() == [
+        (b.next_u32() << 32) | b.next_u32() for _ in range(count)
+    ]
 
 
 def test_large_block_memory_is_bounded():
