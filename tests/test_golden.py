@@ -60,15 +60,23 @@ def test_trajectory_export_digest(tmp_path):
     )
 
 
+SCALING_ARGV = ["--seed", "3", "--threads", "1", "scaling", "--n-values", "32,64",
+                "--mu-rule", "ceil(3*log(n))", "--runs", "6"]
+
+
 def test_scaling_out_file_digest(tmp_path, capsys):
     path = tmp_path / "scaling.csv"
-    rc = main(
-        ["--seed", "3", "--threads", "1", "--out", str(path), "scaling",
-         "--n-values", "32,64", "--mu-rule", "ceil(3*log(n))", "--runs", "6"]
-    )
+    rc = main(["--out", str(path)] + SCALING_ARGV)
     assert rc == 0
     assert digest(path.read_bytes()) == (
         "475145c4ab1eeb5408742c02cb709121fc085bb365b2b081e369a7b5cfa83a64"
+    )
+
+
+def test_scaling_stdout_digest(capsys):
+    assert main(SCALING_ARGV) == 0
+    assert digest(capsys.readouterr().out.encode()) == (
+        "018a053875252ddf4baabf9d5ba1adf56d72f75e8c6155997f131434b65780ce"
     )
 
 
@@ -87,6 +95,19 @@ def test_phase_probe_fractions():
     small, large = run_phase_transition_probe(40, 5, 12, runs=20, master_seed=4, threads=1)
     assert (small.stagnated_fraction, small.success_fraction) == (1.0, 0.0)
     assert (large.stagnated_fraction, large.success_fraction) == pytest.approx((0.55, 0.45))
+
+
+def test_phase_stdout_digest(capsys):
+    # a budget of 10 generations leaves all three verdicts in the `above` row:
+    # stagnated 0.55, success 0.2, budget 0.25
+    rc = main(
+        ["--seed", "4", "--threads", "1", "phase", "--n", "40", "--mu-small", "5",
+         "--mu-large", "12", "--runs", "20", "--max-generations", "10"]
+    )
+    assert rc == 0
+    assert digest(capsys.readouterr().out.encode()) == (
+        "34d7e5e6c33c4d222a7d74093fa088b53ceffb4e16ebc2c82734a8337498878d"
+    )
 
 
 def test_verify_path_summary_digest():
