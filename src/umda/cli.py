@@ -17,6 +17,7 @@ from .experiments import (
     SweepConfig,
     emit_csv,
     format_decimal,
+    format_row,
     parse_config_file,
     run_phase_transition_probe,
     run_scaling_study,
@@ -150,7 +151,10 @@ def _print_scaling(result: ScalingResult) -> None:
 
 
 def _cmd_scaling(args) -> int:
-    n_values = [int(x) for x in args.n_values.split(",") if x]
+    try:
+        n_values = [int(x) for x in args.n_values.split(",") if x]
+    except ValueError as exc:
+        raise ValueError(f"--n-values: {exc}") from exc
     if args.output_path:
         _check_writable(args.output_path)
     result = run_scaling_study(
@@ -164,7 +168,11 @@ def _cmd_scaling(args) -> int:
     )
     _print_scaling(result)
     if args.output_path:
-        write_lines(args.output_path, [row.line() for row in result.rows])
+        write_lines(args.output_path, [
+            format_row([r.n, r.mu, r.lam],
+                       [r.median_generations, r.median_evaluations, r.success_fraction])
+            for r in result.rows
+        ])
     return EXIT_OK
 
 

@@ -7,7 +7,10 @@ experiment hands its runs to ``run_batch`` as (setting, UmdaConfig) pairs,
 one template config per swept value; run k of a setting is its template on
 stream derive_stream(setting, k), so the streams depend only on (master
 seed, setting, run index).  The runs go to a worker pool and come back in
-run-index order, so results never depend on scheduling.
+run-index order, so results never depend on scheduling.  ``summarize``
+reduces each setting's batch to one SettingSummary (verdict shares and
+success-only means and medians); the sweep, the scaling study and the phase
+probe only build settings around it and read the fields they report.
 """
 
 from __future__ import annotations
@@ -200,14 +203,14 @@ class SweepConfig:
 def _parse_lambda_values(text: str) -> tuple[int, int, int]:
     parts = text.split(":")
     if len(parts) != 3:
-        raise ValueError(f"lambda_values must be start:stop:step, got {text!r}")
+        raise ValueError(f"expected start:stop:step, got {text!r}")
     return tuple(int(p) for p in parts)
 
 
 def _parse_borders(text: str) -> bool:
     if text in ("restricted", "unrestricted"):
         return text == "restricted"
-    raise ValueError(f"borders must be restricted or unrestricted, got {text!r}")
+    raise ValueError(f"expected restricted or unrestricted, got {text!r}")
 
 
 #: Parser of each SweepConfig field from its text in a config file or on the
@@ -275,16 +278,50 @@ def run_batch(settings, runs: int, threads: int | None) -> list[list[RunSummary]
     return [summaries[k * runs : (k + 1) * runs] for k in range(len(settings))]
 
 
-def _over_successes(stat, batch, field: str) -> float:
-    """``stat`` (np.mean, np.median) of one RunSummary field over the runs
-    that found the optimum; nan when none did."""
-    picked = [getattr(s, field) for s in batch if s.verdict == "optimum_found"]
-    return float(stat(picked)) if picked else float("nan")
+@dataclass(frozen=True)
+class SettingSummary:
+    """One setting's batch reduced to what the experiments report: its n, mu
+    and lambda, the share of runs ending in each verdict, and means and
+    medians over the runs that found the optimum (nan when none did)."""
+
+    n: int
+    mu: int
+    lam: int
+    success_fraction: float
+    stagnated_fraction: float
+    budget_fraction: float
+    avg_generations: float
+    avg_evaluations: float
+    avg_lower_border_hits: float
+    median_generations: float
+    median_evaluations: float
+
+    @classmethod
+    def of(cls, cfg: UmdaConfig, batch: list[RunSummary]) -> "SettingSummary":
+        verdicts = [s.verdict for s in batch]
+        won = [s for s in batch if s.verdict == "optimum_found"]
+
+        def over_won(stat, field: str) -> float:
+            return float(stat([getattr(s, field) for s in won])) if won else math.nan
+
+        return cls(
+            n=cfg.n, mu=cfg.mu, lam=cfg.lam,
+            success_fraction=verdicts.count("optimum_found") / len(batch),
+            stagnated_fraction=verdicts.count("stagnated") / len(batch),
+            budget_fraction=verdicts.count("budget_exhausted") / len(batch),
+            avg_generations=over_won(np.mean, "generations"),
+            avg_evaluations=over_won(np.mean, "evaluations"),
+            avg_lower_border_hits=over_won(np.mean, "lower_border_hits"),
+            median_generations=over_won(np.median, "generations"),
+            median_evaluations=over_won(np.median, "evaluations"),
+        )
 
 
-def _fraction(batch, verdict: str) -> float:
-    """Share of the runs in ``batch`` that ended with ``verdict``."""
-    return float(np.mean([s.verdict == verdict for s in batch]))
+def summarize(settings, runs: int, threads: int | None) -> list[SettingSummary]:
+    """The one driver of every experiment: run_batch over the (setting,
+    UmdaConfig) pairs, then one SettingSummary per setting, in order."""
+    batches = run_batch(settings, runs, threads)
+    return [SettingSummary.of(cfg, batch) for (_, cfg), batch in zip(settings, batches)]
 
 
 def run_sweep(cfg: SweepConfig, threads: int | None = None) -> list[SweepRow]:
@@ -294,17 +331,10 @@ def run_sweep(cfg: SweepConfig, threads: int | None = None) -> list[SweepRow]:
     stagnated in borderless mode) are excluded from the averages and show up
     in success_fraction instead.
     """
-    settings = cfg.settings()
-    batches = run_batch(settings, cfg.runs_per_setting, threads)
     return [
-        SweepRow(
-            lam=lam,
-            avg_evaluations=_over_successes(np.mean, batch, "evaluations"),
-            avg_lower_border_hits=_over_successes(np.mean, batch, "lower_border_hits"),
-            success_fraction=_fraction(batch, "optimum_found"),
-            avg_generations=_over_successes(np.mean, batch, "generations"),
-        )
-        for (lam, _), batch in zip(settings, batches)
+        SweepRow(s.lam, s.avg_evaluations, s.avg_lower_border_hits,
+                 s.success_fraction, s.avg_generations)
+        for s in summarize(cfg.settings(), cfg.runs_per_setting, threads)
     ]
 
 
@@ -313,24 +343,8 @@ def run_sweep(cfg: SweepConfig, threads: int | None = None) -> list[SweepRow]:
 
 
 @dataclass(frozen=True)
-class ScalingRow:
-    n: int
-    mu: int
-    lam: int
-    success_fraction: float
-    median_generations: float
-    median_evaluations: float
-
-    def line(self) -> str:
-        return format_row(
-            [self.n, self.mu, self.lam],
-            [self.median_generations, self.median_evaluations, self.success_fraction],
-        )
-
-
-@dataclass(frozen=True)
 class ScalingResult:
-    rows: list[ScalingRow]
+    rows: list[SettingSummary]
     #: Least-squares slope of log(median generations) vs log(n); None when
     #: fewer than two problem sizes produced a finite median.
     slope_generations: float | None
@@ -358,42 +372,18 @@ def run_scaling_study(
                        max_generations=max_generations, master_seed=master_seed))
         for n, mu in zip(n_values, mus)
     ]
-    batches = run_batch(settings, runs, threads)
-    rows = [
-        ScalingRow(
-            n=n,
-            mu=cfg.mu,
-            lam=cfg.lam,
-            success_fraction=_fraction(batch, "optimum_found"),
-            median_generations=_over_successes(np.median, batch, "generations"),
-            median_evaluations=_over_successes(np.median, batch, "evaluations"),
-        )
-        for (n, cfg), batch in zip(settings, batches)
-    ]
-    finite = [
-        (row.n, row.median_generations)
-        for row in rows
-        if math.isfinite(row.median_generations)
-    ]
+    rows = summarize(settings, runs, threads)
+    finite = [(row.n, row.median_generations) for row in rows
+              if math.isfinite(row.median_generations)]
     slope = None
     if len(finite) >= 2:
-        xs = np.log([f[0] for f in finite])
-        ys = np.log([f[1] for f in finite])
+        xs, ys = np.log(finite).T
         slope = float(np.polyfit(xs, ys, 1)[0])
     return ScalingResult(rows=rows, slope_generations=slope)
 
 
 # ---------------------------------------------------------------------------
 # phase-transition probe (borderless variant)
-
-
-@dataclass(frozen=True)
-class PhaseOutcome:
-    mu: int
-    lam: int
-    stagnated_fraction: float
-    success_fraction: float
-    budget_fraction: float
 
 
 def run_phase_transition_probe(
@@ -404,7 +394,7 @@ def run_phase_transition_probe(
     master_seed: int = 0,
     max_generations: int | None = None,
     threads: int | None = None,
-) -> tuple[PhaseOutcome, PhaseOutcome]:
+) -> tuple[SettingSummary, SettingSummary]:
     """Borderless-run verdict fractions at a small and a large parent count,
     with lambda = 2 * mu.
 
@@ -418,17 +408,7 @@ def run_phase_transition_probe(
                         max_generations=max_generations, master_seed=master_seed))
         for mu in (mu_small, mu_large)
     ]
-    batches = run_batch(settings, runs, threads)
-    small, large = (
-        PhaseOutcome(
-            mu=cfg.mu,
-            lam=cfg.lam,
-            stagnated_fraction=_fraction(batch, "stagnated"),
-            success_fraction=_fraction(batch, "optimum_found"),
-            budget_fraction=_fraction(batch, "budget_exhausted"),
-        )
-        for (_, cfg), batch in zip(settings, batches)
-    )
+    small, large = summarize(settings, runs, threads)
     return small, large
 
 
@@ -460,4 +440,10 @@ def sweep_config_from_mapping(mapping: dict[str, str]) -> SweepConfig:
     required = [f.name for f in fields(SweepConfig) if f.default is MISSING]
     if not set(required) <= set(mapping):
         raise ValueError(f"config requires at least {required}")
-    return SweepConfig(**{key: SWEEP_SETTINGS[key](value) for key, value in mapping.items()})
+    parsed = {}
+    for key, value in mapping.items():
+        try:
+            parsed[key] = SWEEP_SETTINGS[key](value)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from exc
+    return SweepConfig(**parsed)

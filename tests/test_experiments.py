@@ -527,6 +527,29 @@ class TestCli:
         assert main(["--threads", "1", "sweep", "--n", "30",
                      "--lambdas", "10:4:2"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv, config, name",
+        [
+            (["sweep", "--n", "abc", "--lambdas", "4:8:2"], "", "n"),
+            (["sweep", "--n", "10", "--lambdas", "4:x:1"], "", "lambda_values"),
+            (["sweep", "--n", "10", "--lambdas", "4:8"], "", "lambda_values"),
+            (["sweep"], "n = 10\nlambda_values = 4:8:2\nruns_per_setting = two\n",
+             "runs_per_setting"),
+            (["sweep", "--n", "10", "--lambdas", "4:8:2", "--max-generations", "1.5"], "",
+             "max_generations"),
+            (["scaling", "--n-values", "64,abc", "--mu-rule", "3"], None, "--n-values"),
+        ],
+        ids=["n", "lambdas", "lambdas-arity", "config-runs", "max-generations", "n-values"],
+    )
+    def test_parse_error_names_its_key(self, argv, config, name, tmp_path, capsys):
+        if config is not None:
+            path = tmp_path / "s.cfg"
+            path.write_text(config)
+            argv = ["--config", str(path)] + argv
+        assert main(["--threads", "1"] + argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {name}: "), err
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_exit_code(self, seed, capsys):
         # Pcg32 would run these as seeds 2**64 - 1 and 0
