@@ -373,11 +373,15 @@ def run_scaling_study(
         for n, mu in zip(n_values, mus)
     ]
     rows = summarize(settings, runs, threads)
-    finite = [(row.n, row.median_generations) for row in rows
-              if math.isfinite(row.median_generations)]
+    finite = [
+        (row.n, row.median_generations)
+        for row in rows
+        if math.isfinite(row.median_generations)
+    ]
     slope = None
     if len(finite) >= 2:
-        xs, ys = np.log(finite).T
+        xs = np.log([f[0] for f in finite])
+        ys = np.log([f[1] for f in finite])
         slope = float(np.polyfit(xs, ys, 1)[0])
     return ScalingResult(rows=rows, slope_generations=slope)
 
