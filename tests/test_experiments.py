@@ -530,12 +530,12 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv, config, name",
         [
-            (["sweep", "--n", "abc", "--lambdas", "4:8:2"], "", "n"),
-            (["sweep", "--n", "10", "--lambdas", "4:x:1"], "", "lambda_values"),
-            (["sweep", "--n", "10", "--lambdas", "4:8"], "", "lambda_values"),
+            (["sweep", "--n", "abc", "--lambdas", "4:8:2"], None, "n"),
+            (["sweep", "--n", "10", "--lambdas", "4:x:1"], None, "lambda_values"),
+            (["sweep", "--n", "10", "--lambdas", "4:8"], None, "lambda_values"),
             (["sweep"], "n = 10\nlambda_values = 4:8:2\nruns_per_setting = two\n",
              "runs_per_setting"),
-            (["sweep", "--n", "10", "--lambdas", "4:8:2", "--max-generations", "1.5"], "",
+            (["sweep", "--n", "10", "--lambdas", "4:8:2", "--max-generations", "1.5"], None,
              "max_generations"),
             (["scaling", "--n-values", "64,abc", "--mu-rule", "3"], None, "--n-values"),
         ],
