@@ -91,6 +91,25 @@ def test_sweep_stdout_digest(capsys):
     )
 
 
+HEADER_SWEEP_ARGV = ["--seed", "11", "--threads", "1", "sweep", "--n", "100",
+                     "--lambdas", "10:40:10", "--runs", "20", "--header"]
+
+
+def test_sweep_header_stdout_digest(capsys):
+    assert main(HEADER_SWEEP_ARGV) == 0
+    assert digest(capsys.readouterr().out.encode()) == (
+        "288786762423864374ad5d7c1395718270271c3ad34d410d0f7a3fb62da64790"
+    )
+
+
+def test_sweep_header_out_file_digest(tmp_path, capsys):
+    path = tmp_path / "sweep.csv"
+    assert main(["--out", str(path)] + HEADER_SWEEP_ARGV) == 0
+    assert digest(path.read_bytes()) == (
+        "288786762423864374ad5d7c1395718270271c3ad34d410d0f7a3fb62da64790"
+    )
+
+
 def test_phase_probe_fractions():
     small, large = run_phase_transition_probe(40, 5, 12, runs=20, master_seed=4, threads=1)
     assert (small.stagnated_fraction, small.success_fraction) == (1.0, 0.0)
