@@ -11,18 +11,18 @@ import os
 import sys
 
 from .experiments import (
-    CSV_HEADER,
     SWEEP_SETTINGS,
     ScalingResult,
     SweepConfig,
     emit_csv,
     format_decimal,
-    format_row,
     parse_config_file,
     run_phase_transition_probe,
     run_scaling_study,
     run_sweep,
+    scaling_lines,
     sweep_config_from_mapping,
+    sweep_lines,
     write_lines,
 )
 from .verification import run_all_checks
@@ -128,10 +128,8 @@ def _cmd_sweep(args) -> int:
         emit_csv(rows, cfg.output_path, header=args.header)
         print(f"wrote {len(rows)} rows to {cfg.output_path}")
     else:
-        if args.header:
-            print(CSV_HEADER)
-        for row in rows:
-            print(row.line())
+        for line in sweep_lines(rows, args.header):
+            print(line)
     return EXIT_OK
 
 
@@ -168,11 +166,7 @@ def _cmd_scaling(args) -> int:
     )
     _print_scaling(result)
     if args.output_path:
-        write_lines(args.output_path, [
-            format_row([r.n, r.mu, r.lam],
-                       [r.median_generations, r.median_evaluations, r.success_fraction])
-            for r in result.rows
-        ])
+        write_lines(args.output_path, scaling_lines(result.rows))
     return EXIT_OK
 
 

@@ -1,16 +1,19 @@
 """Experiment harness: lambda sweeps, scaling studies, phase-transition probes.
 
-Output files are semicolon-separated with a fixed column layout (lambda,
-average evaluations, average lower-border hits, success fraction, average
-generations); decimals carry 6 significant digits in fixed notation.  Every
-experiment hands its runs to ``run_batch`` as (setting, UmdaConfig) pairs,
-one template config per swept value; run k of a setting is its template on
-stream derive_stream(setting, k), so the streams depend only on (master
-seed, setting, run index).  The runs go to a worker pool and come back in
-run-index order, so results never depend on scheduling.  ``summarize``
-reduces each setting's batch to one SettingSummary (verdict shares and
-success-only means and medians); the sweep, the scaling study and the phase
-probe only build settings around it and read the fields they report.
+Every experiment hands its runs to ``run_batch`` as (setting, UmdaConfig)
+pairs, one template config per swept value; run k of a setting is its
+template on stream derive_stream(setting, k), so the streams depend only on
+(master seed, setting, run index).  The runs go to a worker pool and come
+back in run-index order, so results never depend on scheduling.
+``summarize`` reduces each setting's batch to one SettingSummary (verdict
+shares and success-only means and medians), and the sweep, the scaling
+study and the phase probe all return SettingSummary rows.
+
+This module owns both file layouts, semicolon-separated with decimals at 6
+significant digits in fixed notation: ``sweep_lines`` (lambda, average
+evaluations, average lower-border hits, success fraction, average
+generations, under an optional header) and ``scaling_lines`` (n, mu,
+lambda, median generations, median evaluations, success fraction).
 """
 
 from __future__ import annotations
@@ -59,31 +62,32 @@ def write_lines(path: str, lines) -> None:
             fh.write(line + "\n")
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """Aggregated outcome for one lambda; averages cover successful runs."""
-
-    lam: int
-    avg_evaluations: float
-    avg_lower_border_hits: float
-    success_fraction: float
-    avg_generations: float
-
-    def line(self) -> str:
-        return format_row(
-            [self.lam],
-            [self.avg_evaluations, self.avg_lower_border_hits,
-             self.success_fraction, self.avg_generations],
-        )
-
-
 CSV_HEADER = "lambda;avg_evaluations;avg_lower_border_hits;success_fraction;avg_generations"
+
+
+def sweep_lines(rows, header: bool = False) -> list[str]:
+    """The sweep's output lines, one per row after an optional CSV_HEADER."""
+    head = [CSV_HEADER] if header else []
+    return head + [
+        format_row([r.lam], [r.avg_evaluations, r.avg_lower_border_hits,
+                             r.success_fraction, r.avg_generations])
+        for r in rows
+    ]
 
 
 def emit_csv(rows, path: str, header: bool = False) -> None:
     """Write sweep rows as semicolon-separated lines, column 0 = lambda."""
-    head = [CSV_HEADER] if header else []
-    write_lines(path, head + [row.line() for row in rows])
+    write_lines(path, sweep_lines(rows, header))
+
+
+def scaling_lines(rows) -> list[str]:
+    """The scaling study's output lines: n, mu, lambda, then the medians and
+    the success fraction."""
+    return [
+        format_row([r.n, r.mu, r.lam],
+                   [r.median_generations, r.median_evaluations, r.success_fraction])
+        for r in rows
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -324,18 +328,14 @@ def summarize(settings, runs: int, threads: int | None) -> list[SettingSummary]:
     return [SettingSummary.of(cfg, batch) for (_, cfg), batch in zip(settings, batches)]
 
 
-def run_sweep(cfg: SweepConfig, threads: int | None = None) -> list[SweepRow]:
-    """Execute the sweep and aggregate one row per lambda.
+def run_sweep(cfg: SweepConfig, threads: int | None = None) -> list[SettingSummary]:
+    """Execute the sweep and summarize each lambda's runs.
 
     Runs that end without sampling the optimum (budget exhausted, or
     stagnated in borderless mode) are excluded from the averages and show up
     in success_fraction instead.
     """
-    return [
-        SweepRow(s.lam, s.avg_evaluations, s.avg_lower_border_hits,
-                 s.success_fraction, s.avg_generations)
-        for s in summarize(cfg.settings(), cfg.runs_per_setting, threads)
-    ]
+    return summarize(cfg.settings(), cfg.runs_per_setting, threads)
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,14 @@ from .bitmodel import FrequencyVector
 def sampling_variance(p: FrequencyVector) -> float:
     """sum_i p_i (1 - p_i): variance of one offspring's fitness."""
     v = p.values
-    return float(np.sum(v * (1.0 - v)))
+    w = 1.0 - v
+    w *= v
+    return float(np.add.reduce(w))
 
 
 def potential(p: FrequencyVector) -> float:
     """n - 1 - sum_i p_i: zero when every frequency sits at 1 - 1/n."""
-    return float(p.n - 1 - np.sum(p.values))
+    return float(p.n - 1 - np.add.reduce(p.values))
 
 
 @dataclass(frozen=True)
@@ -62,8 +64,8 @@ def record_generation(
         potential=potential(p_next),
         lower_border_hits=lower_hits,
         upper_border_hits=upper_hits,
-        min_frequency=float(v.min()),
-        max_frequency=float(v.max()),
+        min_frequency=float(np.minimum.reduce(v)),
+        max_frequency=float(np.maximum.reduce(v)),
         at_lower_border=int(np.count_nonzero(v == p_next.lower_limit)),
         at_upper_border=int(np.count_nonzero(v == p_next.upper_limit)),
         best_fitness=best_fitness,

@@ -13,8 +13,8 @@ from umda.core import UmdaConfig
 from umda.experiments import (
     CSV_HEADER,
     SWEEP_SETTINGS,
+    SettingSummary,
     SweepConfig,
-    SweepRow,
     emit_csv,
     evaluate_rule,
     format_decimal,
@@ -24,7 +24,9 @@ from umda.experiments import (
     run_phase_transition_probe,
     run_scaling_study,
     run_sweep,
+    scaling_lines,
     sweep_config_from_mapping,
+    sweep_lines,
 )
 from umda.rng import derive_stream
 
@@ -33,6 +35,18 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 #: Rules that fail outside arithmetic: two math domain errors, and a chain
 #: too deep to walk recursively.
 DOMAIN_AND_DEPTH_RULES = ["sqrt(-1)", "log(0)", "lam/2" + "+0" * 1000]
+
+
+def summary_row(lam, avg_evaluations, avg_lower_border_hits, success_fraction, avg_generations):
+    """A SettingSummary holding the five values of a sweep line; its medians
+    repeat the averages and the unsuccessful runs all ran out of budget."""
+    return SettingSummary(
+        n=100, mu=lam // 2, lam=lam, success_fraction=success_fraction,
+        stagnated_fraction=0.0, budget_fraction=1.0 - success_fraction,
+        avg_generations=avg_generations, avg_evaluations=avg_evaluations,
+        avg_lower_border_hits=avg_lower_border_hits,
+        median_generations=avg_generations, median_evaluations=avg_evaluations,
+    )
 
 
 class TestFormatting:
@@ -53,31 +67,42 @@ class TestFormatting:
         assert format_decimal(value) == expected
 
     def test_example_row(self, tmp_path):
-        row = SweepRow(20, 41000.0, 350.2, 1.0, 2050.0)
+        row = summary_row(20, 41000.0, 350.2, 1.0, 2050.0)
+        assert sweep_lines([row]) == ["20;41000.0;350.2;1.0;2050.0"]
         path = tmp_path / "out.csv"
         emit_csv([row], str(path))
         assert path.read_text() == "20;41000.0;350.2;1.0;2050.0\n"
 
     def test_empty_rows_empty_file(self, tmp_path):
+        assert sweep_lines([]) == []
         path = tmp_path / "empty.csv"
         emit_csv([], str(path))
         assert path.read_text() == ""
 
     def test_header_flag(self, tmp_path):
+        rows = [summary_row(10, 1.0, 2.0, 1.0, 4.0)]
+        assert sweep_lines(rows, header=True) == [CSV_HEADER, "10;1.0;2.0;1.0;4.0"]
         path = tmp_path / "h.csv"
-        emit_csv([SweepRow(10, 1.0, 2.0, 1.0, 4.0)], str(path), header=True)
+        emit_csv(rows, str(path), header=True)
         first = path.read_text().split("\n")[0]
         assert first.startswith("lambda;")
 
     def test_round_trip(self, tmp_path):
         rows = [
-            SweepRow(20, 41000.0, 350.2, 1.0, 2050.0),
-            SweepRow(24, 39875.5, 210.25, 0.995, 1661.5),
+            summary_row(20, 41000.0, 350.2, 1.0, 2050.0),
+            summary_row(24, 39875.5, 210.25, 0.995, 1661.5),
         ]
         path = tmp_path / "rt.csv"
         emit_csv(rows, str(path))
+        assert path.read_text().splitlines() == sweep_lines(rows)
         fields_ = [line.split(";") for line in path.read_text().splitlines()]
-        assert [SweepRow(int(f[0]), *map(float, f[1:])) for f in fields_] == rows
+        parsed = [(int(f[0]), *map(float, f[1:])) for f in fields_]
+        assert parsed == [(r.lam, r.avg_evaluations, r.avg_lower_border_hits,
+                           r.success_fraction, r.avg_generations) for r in rows]
+
+    def test_scaling_line_columns(self):
+        row = summary_row(20, 41000.0, 350.2, 0.995, 2050.0)
+        assert scaling_lines([row]) == ["100;10;20;2050.0;41000.0;0.995"]
 
 
 class TestRules:
@@ -264,7 +289,9 @@ class TestSweep:
         )
         rows_a = run_sweep(cfg, threads=1)
         rows_b = run_sweep(cfg, threads=2)
+        assert all(isinstance(row, SettingSummary) for row in rows_a)
         assert rows_a == rows_b
+        assert sweep_lines(rows_a, header=True) == sweep_lines(rows_b, header=True)
         pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
         emit_csv(rows_a, str(pa))
         emit_csv(rows_b, str(pb))

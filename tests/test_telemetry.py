@@ -44,6 +44,29 @@ def test_variance_within_quarter_n(p):
     assert 0.0 <= sampling_variance(p) <= p.n / 4 + 1e-12
 
 
+@pytest.mark.parametrize("borders", [False, True])
+@pytest.mark.parametrize("n", [2, 7, 128, 129, 2000])
+def test_reductions_equal_the_plain_formulas_bit_for_bit(n, borders):
+    # the formulas as written with np.sum and ndarray.min/max; pairwise
+    # summation must give the same bits through np.add.reduce
+    rng = np.random.default_rng(n)
+    values = rng.random(n)
+    lo, hi = (1 / n, 1 - 1 / n) if borders else (0.0, 1.0)
+    values = lo + (hi - lo) * values
+    values[rng.random(n) < 0.3] = lo
+    values[rng.random(n) < 0.3] = hi
+    if n > 1:
+        values[0], values[-1] = lo, hi
+    p = FrequencyVector(values, borders=borders)
+    v = p.values
+    stats = record_generation(p, 0, 0, 0)
+    assert sampling_variance(p) == float(np.sum(v * (1.0 - v)))
+    assert potential(p) == float(p.n - 1 - np.sum(v))
+    assert stats.sampling_variance == sampling_variance(p)
+    assert stats.potential == potential(p)
+    assert (stats.min_frequency, stats.max_frequency) == (float(v.min()), float(v.max()))
+
+
 def make_stats(p, lower=0, upper=0, best=3):
     return record_generation(p, lower, upper, best)
 
