@@ -10,32 +10,7 @@ levels        ranking by all-but-one bits: cut level, candidates, classes
 oracles       exact Poisson-binomial and capped-binomial computations
 experiments   batch driver, sweeps, scaling studies, phase probes, CSV emission
 verification  oracle-backed check suite behind the `verify` CLI subcommand
+
+The package root re-exports nothing: import each name from its module,
+e.g. ``from umda.core import UmdaConfig, run``.
 """
-
-from .bitmodel import FrequencyVector, sample_population
-from .core import (
-    RunResult,
-    UmdaConfig,
-    run,
-    sample_and_select,
-    select_mu_best,
-    update_frequencies,
-)
-from .rng import Pcg32
-from .telemetry import GenerationStats, RunTelemetry, potential, sampling_variance
-
-__all__ = [
-    "FrequencyVector",
-    "GenerationStats",
-    "Pcg32",
-    "RunResult",
-    "RunTelemetry",
-    "UmdaConfig",
-    "potential",
-    "run",
-    "sample_and_select",
-    "sample_population",
-    "sampling_variance",
-    "select_mu_best",
-    "update_frequencies",
-]

@@ -72,7 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="lambda range start:stop:step (stop inclusive)",
     )
     sweep.add_argument("--mu-rule", default=None, help="e.g. lam/2")
-    sweep.add_argument("--borders", choices=["restricted", "unrestricted"], default=None)
+    sweep.add_argument(
+        "--borders", default=None, help="restricted (UMDA) or unrestricted (UMDA*)"
+    )
     sweep.add_argument(
         "--runs", dest="runs_per_setting", default=None, help="runs per lambda"
     )

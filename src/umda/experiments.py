@@ -24,7 +24,6 @@ import operator
 import os
 from concurrent import futures
 from dataclasses import MISSING, dataclass, fields, replace
-from decimal import Decimal
 from typing import NamedTuple
 
 import numpy as np
@@ -39,14 +38,7 @@ from .rng import derive_stream
 
 def format_decimal(x: float) -> str:
     """Fixed-notation decimal with 6 significant digits, e.g. 41000.0."""
-    if not math.isfinite(x):
-        return "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf")
-    s = f"{x:.6g}"
-    if "e" in s or "E" in s:
-        s = format(Decimal(s), "f")
-    if "." not in s:
-        s += ".0"
-    return s
+    return np.format_float_positional(x, precision=6, unique=False, fractional=False, trim="0")
 
 
 def format_row(head, decimals) -> str:

@@ -92,7 +92,7 @@ class Pcg32:
         ``count`` is.  They live in buffers kept on the generator, so repeated
         blocks allocate nothing but their output.
         """
-        out = np.empty(max(count, 0), dtype=np.uint32)
+        out = np.empty(count, dtype=np.uint32)
         if self._scratch is None:
             # GEO * inc can be kept too: the increment never changes.
             self._scratch = (

@@ -22,7 +22,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from umda import FrequencyVector, Pcg32, sample_and_select
+from umda.bitmodel import FrequencyVector
+from umda.core import sample_and_select
+from umda.rng import Pcg32
 
 #: Significance level of each chi-square test; the seeds are fixed, so a
 #: correct sampler passes or fails deterministically.

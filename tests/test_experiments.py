@@ -1,8 +1,10 @@
 import math
 import os
 from dataclasses import fields, replace
+from decimal import Decimal
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from curve_shape import has_interior_min_then_max, moving_average
@@ -65,6 +67,26 @@ class TestFormatting:
     )
     def test_six_significant_digits_fixed_notation(self, value, expected):
         assert format_decimal(value) == expected
+
+    def test_matches_the_decimal_reference(self):
+        def reference(x):
+            # format_decimal before it used np.format_float_positional, frozen
+            if not math.isfinite(x):
+                return "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf")
+            s = f"{x:.6g}"
+            if "e" in s or "E" in s:
+                s = format(Decimal(s), "f")
+            if "." not in s:
+                s += ".0"
+            return s
+
+        rng = np.random.default_rng(2017)
+        values = rng.integers(0, 2**64, 20_000, dtype=np.uint64).view(np.float64).tolist()
+        values += (10.0 ** rng.uniform(-9, 9, 20_000)).tolist()
+        values += [k / 3000 for k in range(3001)] + [k + 0.5 for k in range(999_990, 1_000_010)]
+        values += [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e300,
+                   999999.5, 1234567.0, 1.5e-7]
+        assert [format_decimal(x) for x in values] == [reference(x) for x in values]
 
     def test_example_row(self, tmp_path):
         row = summary_row(20, 41000.0, 350.2, 1.0, 2050.0)
@@ -564,9 +586,11 @@ class TestCli:
              "runs_per_setting"),
             (["sweep", "--n", "10", "--lambdas", "4:8:2", "--max-generations", "1.5"], None,
              "max_generations"),
+            (["sweep", "--n", "10", "--lambdas", "4:8:2", "--borders", "on"], None, "borders"),
             (["scaling", "--n-values", "64,abc", "--mu-rule", "3"], None, "--n-values"),
         ],
-        ids=["n", "lambdas", "lambdas-arity", "config-runs", "max-generations", "n-values"],
+        ids=["n", "lambdas", "lambdas-arity", "config-runs", "max-generations", "borders",
+             "n-values"],
     )
     def test_parse_error_names_its_key(self, argv, config, name, tmp_path, capsys):
         if config is not None:

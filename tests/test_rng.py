@@ -175,6 +175,15 @@ def test_empty_block():
     assert gen.state == before
 
 
+def test_negative_block_raises_before_the_state_moves():
+    gen = Pcg32(12, 3)
+    gen.next_u32()
+    before = gen.state
+    with pytest.raises(ValueError):
+        gen.next_u32_block(-3)
+    assert gen.state == before
+
+
 def test_top_bit_mean():
     block = Pcg32(2024, 0).next_u32_block(10**6)
     mean = float((block >> np.uint32(31)).mean())
