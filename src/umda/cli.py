@@ -1,7 +1,8 @@
 """Command-line front end: sweep | scaling | phase | verify.
 
-Exit codes: 0 success, 1 configuration error, 2 I/O error,
-3 verification-suite failure.
+Each command prints the lines built in ``experiments`` or writes them to
+``--out``.  Exit codes: 0 success, 1 configuration error, 2 I/O error,
+3 verification-suite failure; an internal error ends in a traceback.
 """
 
 from __future__ import annotations
@@ -12,15 +13,14 @@ import sys
 
 from .experiments import (
     SWEEP_SETTINGS,
-    ScalingResult,
     SweepConfig,
-    emit_csv,
-    format_decimal,
     parse_config_file,
+    phase_lines,
     run_phase_transition_probe,
     run_scaling_study,
     run_sweep,
     scaling_lines,
+    scaling_report,
     sweep_config_from_mapping,
     sweep_lines,
     write_lines,
@@ -127,32 +127,16 @@ def _cmd_sweep(args) -> int:
         _check_writable(cfg.output_path)
     rows = run_sweep(cfg, threads=args.threads)
     if cfg.output_path:
-        emit_csv(rows, cfg.output_path, header=args.header)
+        write_lines(cfg.output_path, sweep_lines(rows, args.header))
         print(f"wrote {len(rows)} rows to {cfg.output_path}")
     else:
-        for line in sweep_lines(rows, args.header):
-            print(line)
+        print("\n".join(sweep_lines(rows, args.header)))
     return EXIT_OK
-
-
-def _print_scaling(result: ScalingResult) -> None:
-    for row in result.rows:
-        print(
-            f"n={row.n} mu={row.mu} lambda={row.lam} "
-            f"success={format_decimal(row.success_fraction)} "
-            f"median_generations={format_decimal(row.median_generations)} "
-            f"median_evaluations={format_decimal(row.median_evaluations)}"
-        )
-    if result.slope_generations is None:
-        print("slope: undefined (need at least two problem sizes)")
-    else:
-        print(f"log-log slope of median generations: "
-              f"{format_decimal(result.slope_generations)}")
 
 
 def _cmd_scaling(args) -> int:
     try:
-        n_values = [int(x) for x in args.n_values.split(",") if x]
+        n_values = [int(x) for x in args.n_values.split(",")]
     except ValueError as exc:
         raise ValueError(f"--n-values: {exc}") from exc
     if args.output_path:
@@ -166,7 +150,7 @@ def _cmd_scaling(args) -> int:
         max_generations=args.max_generations,
         threads=args.threads,
     )
-    _print_scaling(result)
+    print("\n".join(scaling_report(result)))
     if args.output_path:
         write_lines(args.output_path, scaling_lines(result.rows))
     return EXIT_OK
@@ -182,13 +166,7 @@ def _cmd_phase(args) -> int:
         max_generations=args.max_generations,
         threads=args.threads,
     )
-    for label, outcome in (("below", small), ("above", large)):
-        print(
-            f"{label}: mu={outcome.mu} lambda={outcome.lam} "
-            f"stagnated={format_decimal(outcome.stagnated_fraction)} "
-            f"success={format_decimal(outcome.success_fraction)} "
-            f"budget_exhausted={format_decimal(outcome.budget_fraction)}"
-        )
+    print("\n".join(phase_lines(small, large)))
     return EXIT_OK
 
 

@@ -9,11 +9,12 @@ back in run-index order, so results never depend on scheduling.
 shares and success-only means and medians), and the sweep, the scaling
 study and the phase probe all return SettingSummary rows.
 
-This module owns both file layouts, semicolon-separated with decimals at 6
-significant digits in fixed notation: ``sweep_lines`` (lambda, average
-evaluations, average lower-border hits, success fraction, average
-generations, under an optional header) and ``scaling_lines`` (n, mu,
-lambda, median generations, median evaluations, success fraction).
+Every experiment's output layout is built here, decimals at 6 significant
+digits in fixed notation: the semicolon-separated ``sweep_lines`` (lambda,
+average evaluations, average lower-border hits, success fraction, average
+generations, under an optional header) and ``scaling_lines`` (n, mu, lambda,
+median generations, median evaluations, success fraction), and the stdout
+``scaling_report`` and ``phase_lines``.  The CLI only chooses where lines go.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .rng import derive_stream
 
 
 # ---------------------------------------------------------------------------
-# number formatting / CSV layout
+# number formatting / output layouts
 
 
 def format_decimal(x: float) -> str:
@@ -67,11 +68,6 @@ def sweep_lines(rows, header: bool = False) -> list[str]:
     ]
 
 
-def emit_csv(rows, path: str, header: bool = False) -> None:
-    """Write sweep rows as semicolon-separated lines, column 0 = lambda."""
-    write_lines(path, sweep_lines(rows, header))
-
-
 def scaling_lines(rows) -> list[str]:
     """The scaling study's output lines: n, mu, lambda, then the medians and
     the success fraction."""
@@ -79,6 +75,28 @@ def scaling_lines(rows) -> list[str]:
         format_row([r.n, r.mu, r.lam],
                    [r.median_generations, r.median_evaluations, r.success_fraction])
         for r in rows
+    ]
+
+
+def scaling_report(result) -> list[str]:
+    """The scaling study's stdout: one line per n, then the log-log slope."""
+    slope = result.slope_generations
+    return [
+        f"n={r.n} mu={r.mu} lambda={r.lam} success={format_decimal(r.success_fraction)} "
+        f"median_generations={format_decimal(r.median_generations)} "
+        f"median_evaluations={format_decimal(r.median_evaluations)}"
+        for r in result.rows
+    ] + ["slope: undefined (need at least two problem sizes)" if slope is None
+         else f"log-log slope of median generations: {format_decimal(slope)}"]
+
+
+def phase_lines(small, large) -> list[str]:
+    """The phase probe's stdout: the verdict shares below and above the transition."""
+    return [
+        f"{label}: mu={r.mu} lambda={r.lam} stagnated={format_decimal(r.stagnated_fraction)} "
+        f"success={format_decimal(r.success_fraction)} "
+        f"budget_exhausted={format_decimal(r.budget_fraction)}"
+        for label, r in (("below", small), ("above", large))
     ]
 
 
@@ -265,12 +283,15 @@ def run_batch(settings, runs: int, threads: int | None) -> list[list[RunSummary]
         for k in range(runs)
     ]
     workers = min(threads, len(configs))
-    if workers <= 1:
-        summaries = [_run_summary(cfg) for cfg in configs]
-    else:
-        chunk = max(1, len(configs) // (8 * workers))
-        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            summaries = list(pool.map(_run_summary, configs, chunksize=chunk))
+    try:
+        if workers <= 1:
+            summaries = [_run_summary(cfg) for cfg in configs]
+        else:
+            chunk = max(1, len(configs) // (8 * workers))
+            with futures.ProcessPoolExecutor(max_workers=workers) as pool:
+                summaries = list(pool.map(_run_summary, configs, chunksize=chunk))
+    except ValueError as exc:  # every input was checked above: a fault
+        raise RuntimeError(f"a run failed: {exc}") from exc
     return [summaries[k * runs : (k + 1) * runs] for k in range(len(settings))]
 
 

@@ -11,10 +11,11 @@ from scipy import stats as sstats
 from curve_shape import has_interior_min_then_max, moving_average
 from umda.experiments import (
     SweepConfig,
-    emit_csv,
     run_phase_transition_probe,
     run_scaling_study,
     run_sweep,
+    sweep_lines,
+    write_lines,
 )
 from umda.verification import (
     check_capped_binomial_bound,
@@ -212,7 +213,7 @@ def test_11_determinism_byte_identical_outputs(tmp_path):
     for name, threads in (("a.csv", 1), ("b.csv", 2), ("c.csv", None)):
         rows = run_sweep(cfg, threads=threads)
         path = tmp_path / name
-        emit_csv(rows, str(path), header=True)
+        write_lines(str(path), sweep_lines(rows, header=True))
         paths.append(path.read_bytes())
     assert paths[0] == paths[1] == paths[2]
     report(11, "sweep outputs byte-identical across reruns and thread counts")

@@ -15,20 +15,23 @@ from umda.core import UmdaConfig
 from umda.experiments import (
     CSV_HEADER,
     SWEEP_SETTINGS,
+    ScalingResult,
     SettingSummary,
     SweepConfig,
-    emit_csv,
     evaluate_rule,
     format_decimal,
     int_rule,
     parse_config_file,
+    phase_lines,
     run_batch,
     run_phase_transition_probe,
     run_scaling_study,
     run_sweep,
     scaling_lines,
+    scaling_report,
     sweep_config_from_mapping,
     sweep_lines,
+    write_lines,
 )
 from umda.rng import derive_stream
 
@@ -92,20 +95,20 @@ class TestFormatting:
         row = summary_row(20, 41000.0, 350.2, 1.0, 2050.0)
         assert sweep_lines([row]) == ["20;41000.0;350.2;1.0;2050.0"]
         path = tmp_path / "out.csv"
-        emit_csv([row], str(path))
+        write_lines(str(path), sweep_lines([row]))
         assert path.read_text() == "20;41000.0;350.2;1.0;2050.0\n"
 
     def test_empty_rows_empty_file(self, tmp_path):
         assert sweep_lines([]) == []
         path = tmp_path / "empty.csv"
-        emit_csv([], str(path))
+        write_lines(str(path), sweep_lines([]))
         assert path.read_text() == ""
 
     def test_header_flag(self, tmp_path):
         rows = [summary_row(10, 1.0, 2.0, 1.0, 4.0)]
         assert sweep_lines(rows, header=True) == [CSV_HEADER, "10;1.0;2.0;1.0;4.0"]
         path = tmp_path / "h.csv"
-        emit_csv(rows, str(path), header=True)
+        write_lines(str(path), sweep_lines(rows, header=True))
         first = path.read_text().split("\n")[0]
         assert first.startswith("lambda;")
 
@@ -115,7 +118,7 @@ class TestFormatting:
             summary_row(24, 39875.5, 210.25, 0.995, 1661.5),
         ]
         path = tmp_path / "rt.csv"
-        emit_csv(rows, str(path))
+        write_lines(str(path), sweep_lines(rows))
         assert path.read_text().splitlines() == sweep_lines(rows)
         fields_ = [line.split(";") for line in path.read_text().splitlines()]
         parsed = [(int(f[0]), *map(float, f[1:])) for f in fields_]
@@ -125,6 +128,33 @@ class TestFormatting:
     def test_scaling_line_columns(self):
         row = summary_row(20, 41000.0, 350.2, 0.995, 2050.0)
         assert scaling_lines([row]) == ["100;10;20;2050.0;41000.0;0.995"]
+
+    def test_scaling_report_with_a_slope(self):
+        rows = [summary_row(20, 41000.0, 350.2, 0.995, 2050.0),
+                summary_row(24, 39875.5, 210.25, 1.0, 1661.5)]
+        assert scaling_report(ScalingResult(rows=rows, slope_generations=1.23456789)) == [
+            "n=100 mu=10 lambda=20 success=0.995 median_generations=2050.0 "
+            "median_evaluations=41000.0",
+            "n=100 mu=12 lambda=24 success=1.0 median_generations=1661.5 "
+            "median_evaluations=39875.5",
+            "log-log slope of median generations: 1.23457",
+        ]
+
+    def test_scaling_report_without_a_slope(self):
+        rows = [summary_row(8, math.nan, math.nan, 0.0, math.nan)]
+        assert scaling_report(ScalingResult(rows=rows, slope_generations=None)) == [
+            "n=100 mu=4 lambda=8 success=0.0 median_generations=nan median_evaluations=nan",
+            "slope: undefined (need at least two problem sizes)",
+        ]
+
+    def test_phase_lines(self):
+        small = replace(summary_row(10, math.nan, math.nan, 0.0, math.nan),
+                        stagnated_fraction=0.75, budget_fraction=0.25)
+        large = summary_row(24, 39875.5, 210.25, 0.995, 1661.5)
+        assert phase_lines(small, large) == [
+            "below: mu=5 lambda=10 stagnated=0.75 success=0.0 budget_exhausted=0.25",
+            "above: mu=12 lambda=24 stagnated=0.0 success=0.995 budget_exhausted=0.005",
+        ]
 
 
 class TestRules:
@@ -315,8 +345,8 @@ class TestSweep:
         assert rows_a == rows_b
         assert sweep_lines(rows_a, header=True) == sweep_lines(rows_b, header=True)
         pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_csv(rows_a, str(pa))
-        emit_csv(rows_b, str(pb))
+        write_lines(str(pa), sweep_lines(rows_a))
+        write_lines(str(pb), sweep_lines(rows_b))
         assert pa.read_bytes() == pb.read_bytes()
 
     def test_censored_runs_excluded_from_averages(self):
@@ -396,7 +426,7 @@ class TestScalingAndPhase:
         with pytest.raises(ValueError, match="n_values is empty"):
             run_scaling_study([], "3", runs=1, threads=1)
         assert main(["scaling", "--n-values", ",", "--mu-rule", "3"]) == 1
-        assert "n_values is empty" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("configuration error: --n-values: ")
 
     def test_batch_rejects_zero_runs(self):
         with pytest.raises(ValueError, match="runs must be >= 1"):
@@ -588,9 +618,11 @@ class TestCli:
              "max_generations"),
             (["sweep", "--n", "10", "--lambdas", "4:8:2", "--borders", "on"], None, "borders"),
             (["scaling", "--n-values", "64,abc", "--mu-rule", "3"], None, "--n-values"),
+            (["scaling", "--n-values", "16,,32", "--mu-rule", "3"], None, "--n-values"),
+            (["scaling", "--n-values", "16,32,", "--mu-rule", "3"], None, "--n-values"),
         ],
         ids=["n", "lambdas", "lambdas-arity", "config-runs", "max-generations", "borders",
-             "n-values"],
+             "n-values", "n-values-inner-empty", "n-values-trailing-empty"],
     )
     def test_parse_error_names_its_key(self, argv, config, name, tmp_path, capsys):
         if config is not None:
@@ -688,6 +720,18 @@ class TestCli:
         monkeypatch.setattr(cli, "run_sweep", broken)
         with pytest.raises(KeyError):
             main(["--threads", "1", "sweep", "--n", "30", "--lambdas", "10:10:1"])
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_value_error_in_a_run_is_not_a_config_error(self, threads, monkeypatch, capsys):
+        def broken(cfg):
+            raise ValueError("internal")
+
+        monkeypatch.setattr(experiments, "run", broken)
+        with pytest.raises(RuntimeError) as info:
+            main(["--threads", threads, "sweep", "--n", "30", "--lambdas", "10:10:1",
+                  "--runs", "2"])
+        assert isinstance(info.value.__cause__, ValueError)
+        assert "configuration error" not in capsys.readouterr().err
 
     def test_phase_zero_runs_exit_code(self, capsys):
         rc = main(["--threads", "1", "phase", "--n", "10", "--mu-small", "1",

@@ -14,10 +14,10 @@ from umda.cli import main
 from umda.core import UmdaConfig, run
 from umda.experiments import (
     SweepConfig,
-    emit_csv,
     format_row,
     run_phase_transition_probe,
     run_sweep,
+    sweep_lines,
     write_lines,
 )
 from umda.verification import (
@@ -37,7 +37,7 @@ def test_sweep_csv_digest(tmp_path):
         runs_per_setting=20, master_seed=11,
     )
     path = tmp_path / "sweep.csv"
-    emit_csv(run_sweep(cfg, threads=2), str(path), header=True)
+    write_lines(str(path), sweep_lines(run_sweep(cfg, threads=2), header=True))
     assert digest(path.read_bytes()) == (
         "288786762423864374ad5d7c1395718270271c3ad34d410d0f7a3fb62da64790"
     )
