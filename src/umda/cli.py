@@ -141,7 +141,7 @@ def _cmd_scaling(args) -> int:
         raise ValueError(f"--n-values: {exc}") from exc
     if args.output_path:
         _check_writable(args.output_path)
-    result = run_scaling_study(
+    rows = run_scaling_study(
         n_values,
         mu_rule=args.mu_rule,
         runs=args.runs,
@@ -150,14 +150,14 @@ def _cmd_scaling(args) -> int:
         max_generations=args.max_generations,
         threads=args.threads,
     )
-    print("\n".join(scaling_report(result)))
+    print("\n".join(scaling_report(rows)))
     if args.output_path:
-        write_lines(args.output_path, scaling_lines(result.rows))
+        write_lines(args.output_path, scaling_lines(rows))
     return EXIT_OK
 
 
 def _cmd_phase(args) -> int:
-    small, large = run_phase_transition_probe(
+    rows = run_phase_transition_probe(
         n=args.n,
         mu_small=args.mu_small,
         mu_large=args.mu_large,
@@ -166,7 +166,7 @@ def _cmd_phase(args) -> int:
         max_generations=args.max_generations,
         threads=args.threads,
     )
-    print("\n".join(phase_lines(small, large)))
+    print("\n".join(phase_lines(rows)))
     return EXIT_OK
 
 

@@ -7,14 +7,16 @@ template on stream derive_stream(setting, k), so the streams depend only on
 back in run-index order, so results never depend on scheduling.
 ``summarize`` reduces each setting's batch to one SettingSummary (verdict
 shares and success-only means and medians), and the sweep, the scaling
-study and the phase probe all return SettingSummary rows.
+study and the phase probe all return these rows; ``log_log_slope`` fits the
+scaling study's slope from them.
 
-Every experiment's output layout is built here, decimals at 6 significant
-digits in fixed notation: the semicolon-separated ``sweep_lines`` (lambda,
-average evaluations, average lower-border hits, success fraction, average
-generations, under an optional header) and ``scaling_lines`` (n, mu, lambda,
-median generations, median evaluations, success fraction), and the stdout
-``scaling_report`` and ``phase_lines``.  The CLI only chooses where lines go.
+Every experiment's output layout, on stdout and in files, is built here from
+the rows, decimals at 6 significant digits in fixed notation: the
+semicolon-separated ``sweep_lines`` (lambda, average evaluations, average
+lower-border hits, success fraction, average generations, under an optional
+header) and ``scaling_lines`` (n, mu, lambda, median generations, median
+evaluations, success fraction), and the stdout ``scaling_report`` and
+``phase_lines``.  The CLI only chooses where lines go.
 """
 
 from __future__ import annotations
@@ -78,25 +80,26 @@ def scaling_lines(rows) -> list[str]:
     ]
 
 
-def scaling_report(result) -> list[str]:
+def scaling_report(rows) -> list[str]:
     """The scaling study's stdout: one line per n, then the log-log slope."""
-    slope = result.slope_generations
+    slope = log_log_slope(rows)
     return [
         f"n={r.n} mu={r.mu} lambda={r.lam} success={format_decimal(r.success_fraction)} "
         f"median_generations={format_decimal(r.median_generations)} "
         f"median_evaluations={format_decimal(r.median_evaluations)}"
-        for r in result.rows
-    ] + ["slope: undefined (need at least two problem sizes)" if slope is None
+        for r in rows
+    ] + ["slope: undefined (fewer than two problem sizes with a finite median)"
+         if slope is None
          else f"log-log slope of median generations: {format_decimal(slope)}"]
 
 
-def phase_lines(small, large) -> list[str]:
+def phase_lines(rows) -> list[str]:
     """The phase probe's stdout: the verdict shares below and above the transition."""
     return [
         f"{label}: mu={r.mu} lambda={r.lam} stagnated={format_decimal(r.stagnated_fraction)} "
         f"success={format_decimal(r.success_fraction)} "
         f"budget_exhausted={format_decimal(r.budget_fraction)}"
-        for label, r in (("below", small), ("above", large))
+        for label, r in zip(("below", "above"), rows)
     ]
 
 
@@ -355,14 +358,6 @@ def run_sweep(cfg: SweepConfig, threads: int | None = None) -> list[SettingSumma
 # scaling study
 
 
-@dataclass(frozen=True)
-class ScalingResult:
-    rows: list[SettingSummary]
-    #: Least-squares slope of log(median generations) vs log(n); None when
-    #: fewer than two problem sizes produced a finite median.
-    slope_generations: float | None
-
-
 def run_scaling_study(
     n_values,
     mu_rule: str,
@@ -371,9 +366,8 @@ def run_scaling_study(
     borders: bool = True,
     max_generations: int | None = None,
     threads: int | None = None,
-) -> ScalingResult:
-    """Median generations per problem size, with lambda = 2 * mu, plus a
-    log-log slope fit."""
+) -> list[SettingSummary]:
+    """One row per problem size, with lambda = 2 * mu."""
     n_values = list(n_values)
     if not n_values:
         raise ValueError("n_values is empty")
@@ -385,18 +379,17 @@ def run_scaling_study(
                        max_generations=max_generations, master_seed=master_seed))
         for n, mu in zip(n_values, mus)
     ]
-    rows = summarize(settings, runs, threads)
-    finite = [
-        (row.n, row.median_generations)
-        for row in rows
-        if math.isfinite(row.median_generations)
-    ]
-    slope = None
-    if len(finite) >= 2:
-        xs = np.log([f[0] for f in finite])
-        ys = np.log([f[1] for f in finite])
-        slope = float(np.polyfit(xs, ys, 1)[0])
-    return ScalingResult(rows=rows, slope_generations=slope)
+    return summarize(settings, runs, threads)
+
+
+def log_log_slope(rows) -> float | None:
+    """Least-squares slope of log(median generations) against log(n) over
+    the rows with a finite median; None when fewer than two have one."""
+    finite = [(r.n, r.median_generations) for r in rows if math.isfinite(r.median_generations)]
+    if len(finite) < 2:
+        return None
+    xs, ys = (np.log(column) for column in zip(*finite))
+    return float(np.polyfit(xs, ys, 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +404,7 @@ def run_phase_transition_probe(
     master_seed: int = 0,
     max_generations: int | None = None,
     threads: int | None = None,
-) -> tuple[SettingSummary, SettingSummary]:
+) -> list[SettingSummary]:
     """Borderless-run verdict fractions at a small and a large parent count,
     with lambda = 2 * mu.
 
@@ -425,8 +418,7 @@ def run_phase_transition_probe(
                         max_generations=max_generations, master_seed=master_seed))
         for mu in (mu_small, mu_large)
     ]
-    small, large = summarize(settings, runs, threads)
-    return small, large
+    return summarize(settings, runs, threads)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from scipy import stats as sstats
 from curve_shape import has_interior_min_then_max, moving_average
 from umda.experiments import (
     SweepConfig,
+    log_log_slope,
     run_phase_transition_probe,
     run_scaling_study,
     run_sweep,
@@ -118,38 +119,40 @@ def test_06_drift_sign():
 
 
 def test_07_scaling_above_transition():
-    result = run_scaling_study(
+    rows = run_scaling_study(
         [64, 256, 1024],
         mu_rule="ceil(3*sqrt(n)*log(n))",
         runs=50,
         master_seed=7,
     )
-    for row in result.rows:
+    for row in rows:
         assert row.success_fraction >= 0.5, row
-    assert result.slope_generations is not None
-    assert 0.4 <= result.slope_generations <= 0.7
+    slope = log_log_slope(rows)
+    assert slope is not None
+    assert 0.4 <= slope <= 0.7
     report(
         7,
-        f"slope {result.slope_generations:.3f} in [0.4, 0.7], success "
-        + "/".join(f"{row.success_fraction:.2f}" for row in result.rows),
+        f"slope {slope:.3f} in [0.4, 0.7], success "
+        + "/".join(f"{row.success_fraction:.2f}" for row in rows),
     )
 
 
 def test_08_scaling_below_transition():
-    result = run_scaling_study(
+    rows = run_scaling_study(
         [128, 512, 2048],
         mu_rule="ceil(5*log(n))",
         runs=50,
         master_seed=8,
         borders=True,
     )
-    for row in result.rows:
+    for row in rows:
         assert row.success_fraction == 1.0, row
-    assert result.slope_generations is not None
-    assert 0.8 <= result.slope_generations <= 1.2
+    slope = log_log_slope(rows)
+    assert slope is not None
+    assert 0.8 <= slope <= 1.2
     report(
         8,
-        f"slope {result.slope_generations:.3f} in [0.8, 1.2], every run "
+        f"slope {slope:.3f} in [0.8, 1.2], every run "
         f"finished within the 200n budget",
     )
 

@@ -15,12 +15,12 @@ from umda.core import UmdaConfig
 from umda.experiments import (
     CSV_HEADER,
     SWEEP_SETTINGS,
-    ScalingResult,
     SettingSummary,
     SweepConfig,
     evaluate_rule,
     format_decimal,
     int_rule,
+    log_log_slope,
     parse_config_file,
     phase_lines,
     run_batch,
@@ -130,31 +130,52 @@ class TestFormatting:
         assert scaling_lines([row]) == ["100;10;20;2050.0;41000.0;0.995"]
 
     def test_scaling_report_with_a_slope(self):
-        rows = [summary_row(20, 41000.0, 350.2, 0.995, 2050.0),
-                summary_row(24, 39875.5, 210.25, 1.0, 1661.5)]
-        assert scaling_report(ScalingResult(rows=rows, slope_generations=1.23456789)) == [
+        rows = [replace(summary_row(20, 41000.0, 350.2, 0.995, 2050.0), n=100),
+                replace(summary_row(24, 98400.0, 210.25, 1.0, 4100.0), n=400)]
+        assert scaling_report(rows) == [
             "n=100 mu=10 lambda=20 success=0.995 median_generations=2050.0 "
             "median_evaluations=41000.0",
-            "n=100 mu=12 lambda=24 success=1.0 median_generations=1661.5 "
-            "median_evaluations=39875.5",
-            "log-log slope of median generations: 1.23457",
+            "n=400 mu=12 lambda=24 success=1.0 median_generations=4100.0 "
+            "median_evaluations=98400.0",
+            "log-log slope of median generations: 0.5",
         ]
 
     def test_scaling_report_without_a_slope(self):
         rows = [summary_row(8, math.nan, math.nan, 0.0, math.nan)]
-        assert scaling_report(ScalingResult(rows=rows, slope_generations=None)) == [
+        assert scaling_report(rows) == [
             "n=100 mu=4 lambda=8 success=0.0 median_generations=nan median_evaluations=nan",
-            "slope: undefined (need at least two problem sizes)",
+            "slope: undefined (fewer than two problem sizes with a finite median)",
         ]
 
     def test_phase_lines(self):
         small = replace(summary_row(10, math.nan, math.nan, 0.0, math.nan),
                         stagnated_fraction=0.75, budget_fraction=0.25)
         large = summary_row(24, 39875.5, 210.25, 0.995, 1661.5)
-        assert phase_lines(small, large) == [
+        assert phase_lines([small, large]) == [
             "below: mu=5 lambda=10 stagnated=0.75 success=0.0 budget_exhausted=0.25",
             "above: mu=12 lambda=24 stagnated=0.0 success=0.995 budget_exhausted=0.005",
         ]
+
+
+def scaling_rows(medians: dict) -> list[SettingSummary]:
+    """Hand-made scaling rows: one per n, with the given median generations."""
+    return [replace(summary_row(8, 1.0, 0.0, 1.0, median), n=n) for n, median in medians.items()]
+
+
+class TestLogLogSlope:
+    def test_square_root_growth_has_slope_one_half(self):
+        rows = scaling_rows({n: 3.0 * math.sqrt(n) for n in (64, 256, 1024, 4096)})
+        assert log_log_slope(rows) == pytest.approx(0.5, abs=1e-12)
+
+    def test_rows_without_a_finite_median_are_skipped(self):
+        rows = scaling_rows({64: 24.0, 128: math.nan, 256: 48.0, 512: math.nan})
+        assert log_log_slope(rows) == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "medians", [{}, {64: 24.0}, {64: math.nan, 256: math.nan}, {64: math.nan, 256: 48.0}]
+    )
+    def test_fewer_than_two_finite_medians_have_no_slope(self, medians):
+        assert log_log_slope(scaling_rows(medians)) is None
 
 
 class TestRules:
@@ -327,6 +348,11 @@ class TestPresets:
                 n=2000, lambda_values=(14, 350, 2), mu_rule="lam/2", borders=True,
                 runs_per_setting=3000, master_seed=0, output_path="umda2000-3000.txt",
             )),
+            ("reference_sweep.cfg", SweepConfig(
+                n=2000, lambda_values=(14, 350, 8), mu_rule="lam/2", borders=True,
+                runs_per_setting=100, master_seed=1704,
+                output_path="tests/reference_sweep_n2000.csv",
+            )),
         ],
     )
     def test_preset_file_is_its_documented_sweep(self, name, expected):
@@ -408,11 +434,11 @@ def _record_pools(monkeypatch):
 
 class TestScalingAndPhase:
     def test_singleton_slope_absent(self):
-        result = run_scaling_study(
+        rows = run_scaling_study(
             [32], "ceil(3*sqrt(n)*log(n))", runs=3, master_seed=7, threads=1
         )
-        assert result.slope_generations is None
-        assert result.rows[0].success_fraction == 1.0
+        assert log_log_slope(rows) is None
+        assert rows[0].success_fraction == 1.0
 
     def test_rejects_unsorted_sizes(self):
         with pytest.raises(ValueError):
@@ -796,3 +822,11 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "log-log slope" in out
+
+    def test_scaling_without_a_success_names_the_missing_medians(self, capsys):
+        rc = main(["--threads", "1", "scaling", "--n-values", "32,64", "--mu-rule", "3",
+                   "--runs", "2", "--max-generations", "1"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[3] for line in lines[:2]] == ["success=0.0"] * 2
+        assert lines[2:] == ["slope: undefined (fewer than two problem sizes with a finite median)"]

@@ -7,6 +7,7 @@ must leave every one of them as it is.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -140,4 +141,12 @@ def test_verify_path_summary_digest():
     text = "\n".join(r.summary() for r in results)
     assert digest(text.encode()) == (
         "1d0964f6534bf058d943ac6b6b95fee4c92cd939dd0b78a5e760ac56499a9b0b"
+    )
+
+
+def test_reference_sweep_csv_digest():
+    # tests/reference_sweep_n2000.csv, as scripts/reference_sweep.cfg writes it
+    path = Path(__file__).resolve().parent / "reference_sweep_n2000.csv"
+    assert digest(path.read_bytes()) == (
+        "a2a1aafd21d08c3b4a10e6051d5ab2ee11c0e081129180b95d85c7a28da98908"
     )
