@@ -8,7 +8,8 @@ core          sample_and_select -> bits, fitness, one-counts -> update_frequenci
 telemetry     per-generation sampling variance / potential / border hits
 levels        ranking by all-but-one bits: cut level, candidates, classes
 oracles       exact Poisson-binomial and capped-binomial computations
-experiments   batch driver, sweeps, scaling studies, phase probes, every output layout
+experiments   batch driver, sweeps, scaling studies, phase probes, every output layout,
+              the text parser of every setting (SETTINGS)
 verification  oracle-backed check suite behind the `verify` CLI subcommand
 
 The package root re-exports nothing: import each name from its module,

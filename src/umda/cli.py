@@ -1,5 +1,9 @@
 """Command-line front end: sweep | scaling | phase | verify.
 
+Every setting flag (all but ``--threads``, ``--config`` and ``--header``)
+is stored as text under its key and parsed by ``experiments.SETTINGS``, so a
+value that does not parse names its key, and a setting given neither as a
+flag nor in the sweep's config file takes the experiment's own default.
 Each command prints the lines built in ``experiments`` or writes them to
 ``--out``.  Exit codes: 0 success, 1 configuration error, 2 I/O error,
 3 verification-suite failure; an internal error ends in a traceback.
@@ -12,9 +16,9 @@ import os
 import sys
 
 from .experiments import (
-    SWEEP_SETTINGS,
-    SweepConfig,
+    SETTINGS,
     parse_config_file,
+    parse_settings,
     phase_lines,
     run_phase_transition_probe,
     run_scaling_study,
@@ -48,9 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="UMDA/UMDA* simulator on OneMax: sweeps, scaling studies, "
         "phase-transition probes, and a statistical verification suite.",
     )
-    parser.add_argument(
-        "--seed", dest="master_seed", type=int, default=None, help="master seed"
-    )
+    parser.add_argument("--seed", dest="master_seed", default=None, help="master seed")
     parser.add_argument(
         "--threads", type=int, default=None,
         help="worker processes (default: the CPUs this process may run on)",
@@ -65,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser("sweep", help="lambda sweep with CSV output")
-    # stored as text under the config-file keys, parsed by SWEEP_SETTINGS
     sweep.add_argument("--n", default=None)
     sweep.add_argument(
         "--lambdas", dest="lambda_values", default=None,
@@ -84,31 +85,26 @@ def build_parser() -> argparse.ArgumentParser:
     scaling = sub.add_parser("scaling", help="median generations vs n, lambda = 2*mu")
     scaling.add_argument("--n-values", required=True, help="e.g. 64,256,1024")
     scaling.add_argument("--mu-rule", required=True, help="e.g. ceil(3*sqrt(n)*log(n))")
-    scaling.add_argument("--runs", type=int, default=50)
-    scaling.add_argument(
-        "--borders", choices=["restricted", "unrestricted"], default="restricted"
-    )
-    scaling.add_argument("--max-generations", type=int, default=None)
+    scaling.add_argument("--runs", default=None)
+    scaling.add_argument("--borders", default=None, help="restricted or unrestricted")
+    scaling.add_argument("--max-generations", default=None)
 
     phase = sub.add_parser(
         "phase", help="borderless stagnation probe below/above the transition"
     )
-    phase.add_argument("--n", type=int, required=True)
-    phase.add_argument("--mu-small", type=int, required=True)
-    phase.add_argument("--mu-large", type=int, required=True)
-    phase.add_argument("--runs", type=int, default=100)
-    phase.add_argument("--max-generations", type=int, default=None)
+    phase.add_argument("--n", required=True)
+    phase.add_argument("--mu-small", required=True)
+    phase.add_argument("--mu-large", required=True)
+    phase.add_argument("--runs", default=None)
+    phase.add_argument("--max-generations", default=None)
 
     sub.add_parser("verify", help="run the oracle-backed verification suite")
     return parser
 
 
-def _sweep_config(args) -> SweepConfig:
-    mapping = parse_config_file(args.config) if args.config else {}
-    for key in SWEEP_SETTINGS:
-        if getattr(args, key) is not None:
-            mapping[key] = getattr(args, key)
-    return sweep_config_from_mapping(mapping)
+def _given(args) -> dict[str, str]:
+    """The settings given on the command line, as text under their keys."""
+    return {k: v for k, v in vars(args).items() if k in SETTINGS and v is not None}
 
 
 def _check_writable(path: str) -> None:
@@ -122,7 +118,8 @@ def _check_writable(path: str) -> None:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _sweep_config(args)
+    mapping = parse_config_file(args.config) if args.config else {}
+    cfg = sweep_config_from_mapping({**mapping, **_given(args)})
     if cfg.output_path:
         _check_writable(cfg.output_path)
     rows = run_sweep(cfg, threads=args.threads)
@@ -135,37 +132,19 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_scaling(args) -> int:
-    try:
-        n_values = [int(x) for x in args.n_values.split(",")]
-    except ValueError as exc:
-        raise ValueError(f"--n-values: {exc}") from exc
-    if args.output_path:
-        _check_writable(args.output_path)
-    rows = run_scaling_study(
-        n_values,
-        mu_rule=args.mu_rule,
-        runs=args.runs,
-        master_seed=args.master_seed or 0,
-        borders=args.borders == "restricted",
-        max_generations=args.max_generations,
-        threads=args.threads,
-    )
+    settings = parse_settings(_given(args))
+    path = settings.pop("output_path", None)
+    if path:
+        _check_writable(path)
+    rows = run_scaling_study(**settings, threads=args.threads)
     print("\n".join(scaling_report(rows)))
-    if args.output_path:
-        write_lines(args.output_path, scaling_lines(rows))
+    if path:
+        write_lines(path, scaling_lines(rows))
     return EXIT_OK
 
 
 def _cmd_phase(args) -> int:
-    rows = run_phase_transition_probe(
-        n=args.n,
-        mu_small=args.mu_small,
-        mu_large=args.mu_large,
-        runs=args.runs,
-        master_seed=args.master_seed or 0,
-        max_generations=args.max_generations,
-        threads=args.threads,
-    )
+    rows = run_phase_transition_probe(**parse_settings(_given(args)), threads=args.threads)
     print("\n".join(phase_lines(rows)))
     return EXIT_OK
 

@@ -139,7 +139,8 @@ def evaluate_rule(expr: str, **variables: float) -> float:
     def ev(node):
         if isinstance(node, ast.Expression):
             return ev(node.body)
-        if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+        # type(), not isinstance(): True and False are ints too
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
             return node.value
         if isinstance(node, ast.Name):
             if node.id in variables:
@@ -215,33 +216,6 @@ class SweepConfig:
             ))
             for lam in range(start, stop + 1, step)
         ]
-
-
-def _parse_lambda_values(text: str) -> tuple[int, int, int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"expected start:stop:step, got {text!r}")
-    return tuple(int(p) for p in parts)
-
-
-def _parse_borders(text: str) -> bool:
-    if text in ("restricted", "unrestricted"):
-        return text == "restricted"
-    raise ValueError(f"expected restricted or unrestricted, got {text!r}")
-
-
-#: Parser of each SweepConfig field from its text in a config file or on the
-#: command line; the CLI's sweep flags are stored under the same keys.
-SWEEP_SETTINGS = {
-    "n": int,
-    "lambda_values": _parse_lambda_values,
-    "mu_rule": str,
-    "borders": _parse_borders,
-    "runs_per_setting": int,
-    "master_seed": int,
-    "max_generations": lambda s: int(s) if s else None,
-    "output_path": str,
-}
 
 
 class RunSummary(NamedTuple):
@@ -422,7 +396,52 @@ def run_phase_transition_probe(
 
 
 # ---------------------------------------------------------------------------
-# config files (one `key = value` per line)
+# settings as text (config files and command-line flags)
+
+
+def _parse_lambda_values(text: str) -> tuple[int, int, int]:
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ValueError(f"expected start:stop:step, got {text!r}")
+    return tuple(int(p) for p in parts)
+
+
+def _parse_borders(text: str) -> bool:
+    if text in ("restricted", "unrestricted"):
+        return text == "restricted"
+    raise ValueError(f"expected restricted or unrestricted, got {text!r}")
+
+
+#: Parser of every experiment setting from its text in a config file or on
+#: the command line: each SweepConfig field and each parameter of
+#: run_scaling_study and run_phase_transition_probe except threads.  The
+#: CLI stores its flags as text under these keys.
+SETTINGS = {
+    "n": int,
+    "lambda_values": _parse_lambda_values,
+    "mu_rule": str,
+    "borders": _parse_borders,
+    "runs_per_setting": int,
+    "master_seed": int,
+    "max_generations": lambda s: int(s) if s else None,
+    "output_path": str,
+    "n_values": lambda s: [int(x) for x in s.split(",")],
+    "runs": int,
+    "mu_small": int,
+    "mu_large": int,
+}
+
+
+def parse_settings(mapping: dict[str, str]) -> dict:
+    """Each value of ``mapping`` parsed by its key's SETTINGS parser; a value
+    that does not parse is a ValueError that names the key."""
+    parsed = {}
+    for key, value in mapping.items():
+        try:
+            parsed[key] = SETTINGS[key](value)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from exc
+    return parsed
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -442,17 +461,11 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 
 def sweep_config_from_mapping(mapping: dict[str, str]) -> SweepConfig:
-    """Build a SweepConfig from config-file keys, each parsed by SWEEP_SETTINGS."""
-    unknown = set(mapping) - set(SWEEP_SETTINGS)
+    """Build a SweepConfig from its fields' text, as in a config file."""
+    unknown = set(mapping) - {f.name for f in fields(SweepConfig)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     required = [f.name for f in fields(SweepConfig) if f.default is MISSING]
     if not set(required) <= set(mapping):
         raise ValueError(f"config requires at least {required}")
-    parsed = {}
-    for key, value in mapping.items():
-        try:
-            parsed[key] = SWEEP_SETTINGS[key](value)
-        except ValueError as exc:
-            raise ValueError(f"{key}: {exc}") from exc
-    return SweepConfig(**parsed)
+    return SweepConfig(**parse_settings(mapping))

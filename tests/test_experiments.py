@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 from dataclasses import fields, replace
@@ -14,7 +15,7 @@ from umda.cli import main
 from umda.core import UmdaConfig
 from umda.experiments import (
     CSV_HEADER,
-    SWEEP_SETTINGS,
+    SETTINGS,
     SettingSummary,
     SweepConfig,
     evaluate_rule,
@@ -202,6 +203,11 @@ class TestRules:
             evaluate_rule("__import__('os')", n=1)
         with pytest.raises(ValueError):
             evaluate_rule("lam/", lam=4)
+        # bool is a subclass of int, but True and False are no numeric literals
+        for rule in ("True", "False+3"):
+            with pytest.raises(ValueError) as info:
+                evaluate_rule(rule, n=1)
+            assert f"cannot evaluate rule {rule!r}:" in str(info.value)
 
     def test_each_operator(self):
         assert evaluate_rule("n - lam", n=10, lam=4) == 6
@@ -309,8 +315,11 @@ class TestSweepConfig:
         assert cfg.borders is True
         assert cfg.output_path == "out.csv"
 
-    def test_settings_table_lists_every_field(self):
-        assert list(SWEEP_SETTINGS) == [f.name for f in fields(SweepConfig)]
+    def test_settings_table_parses_every_experiment_parameter(self):
+        keys = {f.name for f in fields(SweepConfig)}
+        for experiment in (run_scaling_study, run_phase_transition_probe):
+            keys |= set(inspect.signature(experiment).parameters) - {"threads"}
+        assert keys == set(SETTINGS)
 
     def test_empty_max_generations_means_default(self):
         base = {"n": "30", "lambda_values": "10:10:1"}
@@ -452,7 +461,7 @@ class TestScalingAndPhase:
         with pytest.raises(ValueError, match="n_values is empty"):
             run_scaling_study([], "3", runs=1, threads=1)
         assert main(["scaling", "--n-values", ",", "--mu-rule", "3"]) == 1
-        assert capsys.readouterr().err.startswith("configuration error: --n-values: ")
+        assert capsys.readouterr().err.startswith("configuration error: n_values: ")
 
     def test_batch_rejects_zero_runs(self):
         with pytest.raises(ValueError, match="runs must be >= 1"):
@@ -643,12 +652,19 @@ class TestCli:
             (["sweep", "--n", "10", "--lambdas", "4:8:2", "--max-generations", "1.5"], None,
              "max_generations"),
             (["sweep", "--n", "10", "--lambdas", "4:8:2", "--borders", "on"], None, "borders"),
-            (["scaling", "--n-values", "64,abc", "--mu-rule", "3"], None, "--n-values"),
-            (["scaling", "--n-values", "16,,32", "--mu-rule", "3"], None, "--n-values"),
-            (["scaling", "--n-values", "16,32,", "--mu-rule", "3"], None, "--n-values"),
+            (["scaling", "--n-values", "64,abc", "--mu-rule", "3"], None, "n_values"),
+            (["scaling", "--n-values", "16,,32", "--mu-rule", "3"], None, "n_values"),
+            (["scaling", "--n-values", "16,32,", "--mu-rule", "3"], None, "n_values"),
+            (["scaling", "--n-values", "16,32", "--mu-rule", "3", "--borders", "on"], None,
+             "borders"),
+            (["phase", "--n", "10", "--mu-small", "1", "--mu-large", "x"], None, "mu_large"),
+            (["phase", "--n", "10", "--mu-small", "1", "--mu-large", "2", "--runs", "two"],
+             None, "runs"),
+            (["--seed", "x", "sweep", "--n", "10", "--lambdas", "4:8:2"], None, "master_seed"),
         ],
         ids=["n", "lambdas", "lambdas-arity", "config-runs", "max-generations", "borders",
-             "n-values", "n-values-inner-empty", "n-values-trailing-empty"],
+             "n-values", "n-values-inner-empty", "n-values-trailing-empty",
+             "scaling-borders", "phase-mu-large", "phase-runs", "seed"],
     )
     def test_parse_error_names_its_key(self, argv, config, name, tmp_path, capsys):
         if config is not None:
