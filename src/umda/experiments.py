@@ -3,8 +3,10 @@
 Every experiment hands its runs to ``run_batch`` as (setting, UmdaConfig)
 pairs, one template config per swept value; run k of a setting is its
 template on stream derive_stream(setting, k), so the streams depend only on
-(master seed, setting, run index).  The runs go to a worker pool and come
-back in run-index order, so results never depend on scheduling.
+(master seed, setting, run index).  Every check precedes the first run:
+UmdaConfig checks each template, then ``run_batch`` the run count, thread
+count and streams.  The runs go to a worker pool and come back in
+run-index order, so results never depend on scheduling.
 ``summarize`` reduces each setting's batch to one SettingSummary (verdict
 shares and success-only means and medians), and the sweep, the scaling
 study and the phase probe all return these rows; ``log_log_slope`` fits the
@@ -183,7 +185,8 @@ def int_rule(expr: str, **variables: float) -> int:
 
 @dataclass
 class SweepConfig:
-    """A lambda sweep: for each lambda, runs_per_setting independent runs."""
+    """A lambda sweep: for each lambda, runs_per_setting independent runs.
+    Construction checks the lambda range; ``run_sweep`` checks the runs."""
 
     n: int
     lambda_values: tuple[int, int, int]  # (start, stop, step), stop inclusive
@@ -200,10 +203,6 @@ class SweepConfig:
             raise ValueError(f"lambda step must be >= 1, got {step}")
         if start > stop:
             raise ValueError(f"empty lambda range {self.lambda_values}")
-        if self.runs_per_setting < 1:
-            raise ValueError("runs_per_setting must be >= 1")
-        for lam, _ in self.settings():  # each run config checks n, mu, seed, budget
-            derive_stream(lam, self.runs_per_setting - 1)  # and the last run's stream
 
     def settings(self) -> list[tuple[int, UmdaConfig]]:
         """One (lambda, UmdaConfig) pair per swept lambda, mu from mu_rule."""
@@ -242,24 +241,24 @@ def run_batch(settings, runs: int, threads: int | None) -> list[list[RunSummary]
     derive_stream(setting, k) and record_telemetry off; the template's own
     values of those two fields are ignored.  The summaries come back split
     by setting, in the order of ``settings`` and, within each, in run-index
-    order.  The pool has ``threads`` workers, by default one per CPU this
-    process may run on, and never more than runs.
+    order.  Before building a run it checks ``runs``, ``threads`` and each
+    setting's last stream, which bounds the others.  No more workers start
+    than ``threads``, the runs or the CPUs this process may run on.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    if threads is None:
-        if hasattr(os, "sched_getaffinity"):
-            threads = len(os.sched_getaffinity(0))
-        else:
-            threads = os.cpu_count() or 1
-    if threads < 1:
+    if threads is not None and threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    for setting, _ in settings:
+        derive_stream(setting, runs - 1)
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     configs = [
         replace(cfg, run_index=derive_stream(setting, k), record_telemetry=False)
         for setting, cfg in settings
         for k in range(runs)
     ]
-    workers = min(threads, len(configs))
+    workers = min(threads or cpus, cpus, len(configs))
     try:
         if workers <= 1:
             summaries = [_run_summary(cfg) for cfg in configs]

@@ -55,6 +55,21 @@ def summary_row(lam, avg_evaluations, avg_lower_border_hits, success_fraction, a
     )
 
 
+def _forbid_runs(monkeypatch):
+    """Fail the test if a run starts or an 11th stream is derived, so a
+    batch that builds its runs before checking them stops at once instead
+    of building 2**32 configs."""
+    calls = []
+
+    def guarded(setting, run_index):
+        calls.append(setting)
+        assert len(calls) <= 10, "derived more than 10 streams"
+        return derive_stream(setting, run_index)
+
+    monkeypatch.setattr(experiments, "derive_stream", guarded)
+    monkeypatch.setattr(experiments, "run", lambda cfg: pytest.fail("a run started"))
+
+
 class TestFormatting:
     @pytest.mark.parametrize(
         "value,expected",
@@ -266,9 +281,10 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             SweepConfig(n=50, lambda_values=(30, 10, 2))
 
-    def test_rejects_mu_rule_violating_selection(self):
-        with pytest.raises(ValueError):
-            SweepConfig(n=50, lambda_values=(4, 8, 2), mu_rule="lam")
+    def test_rejects_mu_rule_violating_selection(self, monkeypatch):
+        _forbid_runs(monkeypatch)
+        with pytest.raises(ValueError, match="need 1 <= mu < lambda"):
+            run_sweep(SweepConfig(n=50, lambda_values=(4, 8, 2), mu_rule="lam"), threads=1)
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -281,9 +297,11 @@ class TestSweepConfig:
             ("runs_per_setting", 2**32 + 1, "run_index must fit in 32 bits"),
         ],
     )
-    def test_rejects_what_its_runs_would_reject(self, field, value, message):
+    def test_rejects_what_its_runs_would_reject(self, field, value, message, monkeypatch):
+        _forbid_runs(monkeypatch)
         with pytest.raises(ValueError, match=message):
-            SweepConfig(**{"n": 20, "lambda_values": (4, 8, 2), field: value})
+            run_sweep(SweepConfig(**{"n": 20, "lambda_values": (4, 8, 2), field: value}),
+                      threads=1)
 
     @pytest.mark.parametrize(
         "key, value", [("borders", "true"), ("lambda_values", "10,150,4")]
@@ -463,16 +481,43 @@ class TestScalingAndPhase:
         assert main(["scaling", "--n-values", ",", "--mu-rule", "3"]) == 1
         assert capsys.readouterr().err.startswith("configuration error: n_values: ")
 
+    @pytest.mark.parametrize(
+        "experiment, message",
+        [
+            pytest.param(lambda: run_scaling_study([2**31], "3", runs=2, threads=1),
+                         "setting must be in", id="scaling-setting"),
+            pytest.param(lambda: run_scaling_study([16], "3", runs=2**32 + 1, threads=1),
+                         "run_index must fit in 32 bits", id="scaling-runs"),
+            pytest.param(lambda: run_phase_transition_probe(20, 2**31, 2**31 + 2, runs=2,
+                                                            threads=1),
+                         "setting must be in", id="phase-setting"),
+            pytest.param(lambda: run_phase_transition_probe(20, 2, 4, runs=2**32 + 1, threads=1),
+                         "run_index must fit in 32 bits", id="phase-runs"),
+        ],
+    )
+    def test_checks_streams_before_any_run(self, experiment, message, monkeypatch):
+        # the sweep's cases are TestSweepConfig::test_rejects_what_its_runs_would_reject
+        _forbid_runs(monkeypatch)
+        with pytest.raises(ValueError, match=message):
+            experiment()
+
     def test_batch_rejects_zero_runs(self):
         with pytest.raises(ValueError, match="runs must be >= 1"):
             run_batch([(8, UmdaConfig(n=10, mu=4, lam=8))], 0, 1)
 
     def test_pool_is_no_larger_than_the_batch(self, monkeypatch):
         built = _record_pools(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         settings = [(8, UmdaConfig(n=10, mu=4, lam=8, master_seed=5))]
         pooled = run_batch(settings, 3, 64)
         assert built == [3]
         assert pooled == run_batch(settings, 3, 1)
+
+    def test_pool_is_no_larger_than_the_cpus(self, monkeypatch):
+        built = _record_pools(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        run_batch([(8, UmdaConfig(n=10, mu=4, lam=8, max_generations=2))], 5, 64)
+        assert built == [2]
 
     def test_default_threads_follow_cpu_affinity(self, monkeypatch):
         built = _record_pools(monkeypatch)
@@ -722,6 +767,7 @@ class TestCli:
         [
             ["--threads", "0", "sweep", "--n", "20", "--lambdas", "4:8:2", "--runs", "2"],
             ["scaling", "--n-values", "1,4", "--mu-rule", "2", "--runs", "1"],
+            ["sweep", "--n", "20", "--lambdas", "4:8:2", "--runs", "2", "--mu-rule", "lam"],
         ],
     )
     def test_config_error_leaves_no_out_file(self, argv, tmp_path):
@@ -780,6 +826,12 @@ class TestCli:
                    "--mu-large", "2", "--runs", "0"])
         assert rc == 1
         assert "runs must be >= 1" in capsys.readouterr().err
+
+    def test_phase_stream_overflow_exit_code(self, monkeypatch, capsys):
+        _forbid_runs(monkeypatch)
+        assert main(["--threads", "1", "phase", "--n", "20", "--mu-small", "2",
+                     "--mu-large", "4", "--runs", "4294967297"]) == 1
+        assert "configuration error: run_index must fit in 32 bits" in capsys.readouterr().err
 
     def test_scaling_zero_runs_exit_code(self, capsys):
         rc = main(["--threads", "1", "scaling", "--n-values", "24,48",
