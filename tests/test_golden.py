@@ -22,9 +22,11 @@ from umda.experiments import (
     write_lines,
 )
 from umda.verification import (
+    check_chunk_property,
     check_decomposition_invariants,
     check_dominance,
     check_drift_sign,
+    check_pmf_properties,
 )
 
 
@@ -142,6 +144,27 @@ def test_verify_path_summary_digest():
     assert digest(text.encode()) == (
         "1d0964f6534bf058d943ac6b6b95fee4c92cd939dd0b78a5e760ac56499a9b0b"
     )
+
+
+def test_pmf_check_summary_digest():
+    # the exact-PMF check at a reduced size and its default seed
+    result = check_pmf_properties(instances=60, max_m=80)
+    assert digest(result.summary().encode()) == (
+        "cb4cc39b54cdc540b4f49a3d1447747a5cf984509c3c9e479fe4428a727fc588"
+    )
+
+
+def test_chunk_check_summary_digest():
+    # the chunk check at a reduced size and its default seed; the summary
+    # rounds to 6 digits, so the two measured floats are pinned in full too
+    result = check_chunk_property(instances=40, m_range=(5, 60))
+    assert digest(result.summary().encode()) == (
+        "4ebf6a672bff65084632ca6fcafa9e10d3be1fd51ae946a30c6ddcd7837b48c0"
+    )
+    assert result.measured == {
+        "min_sigma_scaled_pmf": 0.24969718702564653,
+        "min_coverage_slack": 0.035042301176157586,
+    }
 
 
 def test_reference_sweep_csv_digest():
