@@ -1,9 +1,11 @@
 """Exact reference computations for the probabilistic machinery.
 
-These oracles are independent of the simulator: the Poisson-binomial PMF is
-built by direct O(m^2) convolution, capped-binomial expectations by exact
-summation.  Monte Carlo helpers measure one-step selection effects (drift of
-the focal one-count) against those exact baselines.
+The exact oracles are independent of the simulator: the Poisson-binomial PMF
+is built by direct O(m^2) convolution, its central chunk is read off the PMF,
+and capped-binomial expectations come from exact summation.  One Monte Carlo
+helper, ``empirical_step_drift``, does run the simulator (through
+``levels.focal_one_counts``) to measure the one-step drift of the focal
+one-count against those exact baselines.
 
 Asymptotic lower-bound claims are checked as frozen numeric floors: the
 instance-wise constant is computed once over a calibration grid and the
@@ -31,25 +33,6 @@ class PmfTable:
     mean: float                # sum p_i
     variance: float            # sum p_i (1 - p_i)
 
-    @property
-    def sigma(self) -> float:
-        return math.sqrt(self.variance)
-
-    def cdf(self) -> np.ndarray:
-        return np.cumsum(self.pmf)
-
-    def sf(self) -> np.ndarray:
-        """Upper tail: sf[i] = P(X >= i), summed from the top for accuracy."""
-        return np.cumsum(self.pmf[::-1])[::-1]
-
-
-@dataclass(frozen=True)
-class ChunkBounds:
-    """Central chunk [k_lo, k_hi] cutting tail mass ell below and u above."""
-
-    k_lo: int
-    k_hi: int
-
 
 def poisson_binomial_pmf(p) -> PmfTable:
     """Exact PMF of sum of Bernoulli(p_i) by iterative convolution."""
@@ -74,29 +57,15 @@ def poisson_binomial_pmf(p) -> PmfTable:
     )
 
 
-def chunk_bounds(table: PmfTable, ell: float, u: float) -> ChunkBounds:
-    """k_lo = min{i : P(X <= i) >= ell}, k_hi = max{i : P(X >= i) >= u}."""
+def chunk_bounds(table: PmfTable, ell: float, u: float) -> tuple[int, int]:
+    """The central chunk (k_lo, k_hi) cutting tail mass ell below and u above:
+    k_lo = min{i : P(X <= i) >= ell}, k_hi = max{i : P(X >= i) >= u}."""
     if not (0.0 < ell < 1.0 and 0.0 < u < 1.0 and ell + u < 1.0):
         raise ValueError(f"need ell, u in (0,1) with ell + u < 1, got {ell}, {u}")
-    k_lo = int(np.argmax(table.cdf() >= ell))
-    sf = table.sf()
+    k_lo = int(np.argmax(np.cumsum(table.pmf) >= ell))
+    sf = np.cumsum(table.pmf[::-1])[::-1]  # P(X >= i), summed from the top
     k_hi = int(np.nonzero(sf >= u)[0][-1])
-    return ChunkBounds(k_lo=k_lo, k_hi=k_hi)
-
-
-def chunk_coverage(table: PmfTable, bounds: ChunkBounds) -> float:
-    """P(k_lo <= X <= k_hi); at least 1 - ell - u by construction."""
-    return float(table.pmf[bounds.k_lo : bounds.k_hi + 1].sum())
-
-
-def verify_chunk_lower_bound(table: PmfTable, bounds: ChunkBounds) -> float:
-    """min over the chunk of pmf(k) * max(1, sigma).
-
-    A uniform positive floor for this quantity across instances witnesses
-    that every chunk point carries probability on the order of 1/sigma.
-    """
-    chunk = table.pmf[bounds.k_lo : bounds.k_hi + 1]
-    return float(chunk.min() * max(1.0, table.sigma))
+    return k_lo, k_hi
 
 
 def binomial_pmf(d: int, p: float) -> np.ndarray:

@@ -24,11 +24,9 @@ from .oracles import (
     binomial_pmf,
     capped_binomial_lower_bound,
     chunk_bounds,
-    chunk_coverage,
     empirical_step_drift,
     expected_min_capped_binomial,
     poisson_binomial_pmf,
-    verify_chunk_lower_bound,
 )
 from .rng import Pcg32, derive_stream
 
@@ -128,20 +126,21 @@ def check_chunk_property(
     floor: float = 0.1,
     seed: int = 102,
 ) -> CheckResult:
-    """Every chunk point carries pmf mass of order 1/sigma, and the chunk
-    covers at least 1 - ell - u probability."""
+    """Every chunk point carries pmf mass of order 1/sigma (the chunk's least
+    pmf(k) * max(1, sigma) stays above ``floor``), and the chunk covers at
+    least 1 - ell - u probability."""
     rng = Pcg32(seed, 0)
     lo_m, hi_m = m_range
     min_constant = math.inf
     min_coverage_slack = math.inf
     for _ in range(instances):
         m = lo_m + rng.next_u32() % (hi_m - lo_m + 1)
-        p = _uniform_floats(rng, m, 1.0 / m, 1.0 - 1.0 / m)
-        table = poisson_binomial_pmf(p)
-        bounds = chunk_bounds(table, ell, u)
-        min_constant = min(min_constant, verify_chunk_lower_bound(table, bounds))
-        coverage = chunk_coverage(table, bounds)
-        min_coverage_slack = min(min_coverage_slack, coverage - (1.0 - ell - u))
+        table = poisson_binomial_pmf(_uniform_floats(rng, m, 1.0 / m, 1.0 - 1.0 / m))
+        k_lo, k_hi = chunk_bounds(table, ell, u)
+        chunk = table.pmf[k_lo : k_hi + 1]
+        scaled = float(chunk.min() * max(1.0, math.sqrt(table.variance)))
+        min_constant = min(min_constant, scaled)
+        min_coverage_slack = min(min_coverage_slack, float(chunk.sum()) - (1.0 - ell - u))
     return CheckResult(
         name="poisson_binomial_chunk_probability",
         passed=min_constant >= floor and min_coverage_slack >= -1e-12,

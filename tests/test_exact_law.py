@@ -38,6 +38,12 @@ POPULATIONS_PER_PASS = 1 << 14
 
 def exact_law(p: FrequencyVector, mu: int, lam: int) -> np.ndarray:
     """Probability of each count vector c, indexed by sum_i c_i (mu + 1)^i."""
+    return exact_joint_law(p, mu, lam).sum(axis=0)
+
+
+def exact_joint_law(p: FrequencyVector, mu: int, lam: int) -> np.ndarray:
+    """exact_law split by whether the population held the optimum: row 1 of
+    the (2, (mu + 1)^n) result holds the populations with an all-ones row."""
     n = p.n
     if lam * n > 20:
         raise ValueError(f"lam * n = {lam * n} is too many bits to enumerate")
@@ -51,7 +57,8 @@ def exact_law(p: FrequencyVector, mu: int, lam: int) -> np.ndarray:
     # every mu-subset of the lam rows, as a (lam, subsets) membership matrix
     subsets = np.array([[j in s for s in combinations(range(lam), mu)] for j in range(lam)],
                        dtype=np.int64)
-    law = np.zeros((mu + 1) ** n)
+    size = (mu + 1) ** n
+    law = np.zeros(2 * size)
     total = 1 << (lam * n)  # population code: row j in bits [j*n, (j+1)*n)
     for start in range(0, total, POPULATIONS_PER_PASS):
         codes = np.arange(start, min(start + POPULATIONS_PER_PASS, total))
@@ -64,9 +71,10 @@ def exact_law(p: FrequencyVector, mu: int, lam: int) -> np.ndarray:
         valid = ((fitness >= cutoff).astype(np.int64) @ subsets == mu) & (
             above @ subsets == above.sum(axis=1, keepdims=True))
         share = weight[:, None] * valid / valid.sum(axis=1, keepdims=True)
-        law += np.bincount((row_index[rows] @ subsets).ravel(), weights=share.ravel(),
-                           minlength=law.size)
-    return law
+        optimum = (fitness == n).any(axis=1, keepdims=True)
+        law += np.bincount((row_index[rows] @ subsets + size * optimum).ravel(),
+                           weights=share.ravel(), minlength=law.size)
+    return law.reshape(2, size)
 
 
 def sampled_law(p: FrequencyVector, mu: int, lam: int, stream: int) -> np.ndarray:
