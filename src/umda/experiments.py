@@ -205,8 +205,12 @@ class SweepConfig:
             raise ValueError(f"empty lambda range {self.lambda_values}")
 
     def settings(self) -> list[tuple[int, UmdaConfig]]:
-        """One (lambda, UmdaConfig) pair per swept lambda, mu from mu_rule."""
+        """One (lambda, UmdaConfig) pair per swept lambda, mu from mu_rule.
+        The last lambda's stream is checked first: it bounds the others, and
+        a range ending at 2**31 or more would otherwise build every setting
+        before ``run_batch`` rejects it."""
         start, stop, step = self.lambda_values
+        derive_stream(range(start, stop + 1, step)[-1], 0)
         return [
             (lam, UmdaConfig(
                 n=self.n, mu=int_rule(self.mu_rule, lam=lam, n=self.n), lam=lam,

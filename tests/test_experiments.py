@@ -1,6 +1,8 @@
 import inspect
 import math
 import os
+import subprocess
+import sys
 from dataclasses import fields, replace
 from decimal import Decimal
 from pathlib import Path
@@ -37,10 +39,20 @@ from umda.experiments import (
 from umda.rng import derive_stream
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+#: The directory holding the umda package these tests import.
+PACKAGE_ROOT = str(Path(experiments.__file__).resolve().parent.parent)
 
 #: Rules that fail outside arithmetic: two math domain errors, and a chain
 #: too deep to walk recursively.
 DOMAIN_AND_DEPTH_RULES = ["sqrt(-1)", "log(0)", "lam/2" + "+0" * 1000]
+
+
+def _umda(argv):
+    """Run ``python -m umda.cli argv`` on the imported package, so the exit
+    status passes through ``cli.entrypoint``; a hang fails after 20 s."""
+    path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "umda.cli", *argv], capture_output=True,
+                          text=True, timeout=20, env={**os.environ, "PYTHONPATH": path})
 
 
 def summary_row(lam, avg_evaluations, avg_lower_border_hits, success_fraction, avg_generations):
@@ -56,17 +68,23 @@ def summary_row(lam, avg_evaluations, avg_lower_border_hits, success_fraction, a
 
 
 def _forbid_runs(monkeypatch):
-    """Fail the test if a run starts or an 11th stream is derived, so a
-    batch that builds its runs before checking them stops at once instead
-    of building 2**32 configs."""
-    calls = []
+    """Fail the test if a run starts, an 11th stream is derived or an 11th
+    mu is computed, so an experiment that builds its runs or settings before
+    checking them stops at once instead of building 2**32 configs."""
+    streams, mus = [], []
 
     def guarded(setting, run_index):
-        calls.append(setting)
-        assert len(calls) <= 10, "derived more than 10 streams"
+        streams.append(setting)
+        assert len(streams) <= 10, "derived more than 10 streams"
         return derive_stream(setting, run_index)
 
+    def guarded_rule(expr, **variables):
+        mus.append(expr)
+        assert len(mus) <= 10, "computed more than 10 mus"
+        return int_rule(expr, **variables)
+
     monkeypatch.setattr(experiments, "derive_stream", guarded)
+    monkeypatch.setattr(experiments, "int_rule", guarded_rule)
     monkeypatch.setattr(experiments, "run", lambda cfg: pytest.fail("a run started"))
 
 
@@ -294,6 +312,8 @@ class TestSweepConfig:
             ("max_generations", -1, "max_generations must be >= 0"),
             # a stream derive_stream rejects: lambda 2**31, run index 2**32
             ("lambda_values", (2**31, 2**31, 1), "setting must be in"),
+            # ... as the last of about 2**31 settings
+            ("lambda_values", (4, 2**31, 1), "setting must be in"),
             ("runs_per_setting", 2**32 + 1, "run_index must fit in 32 bits"),
         ],
     )
@@ -385,6 +405,13 @@ class TestPresets:
     def test_preset_file_is_its_documented_sweep(self, name, expected):
         mapping = parse_config_file(str(SCRIPTS / name))
         assert sweep_config_from_mapping(mapping) == expected
+
+    @pytest.mark.parametrize("name", ["desk_sweep.cfg", "reference_sweep.cfg", "paper_sweep.cfg"])
+    def test_preset_runs_shrunk_by_flag_overrides(self, name, tmp_path):
+        out = tmp_path / "out.csv"
+        assert main(["--threads", "1", "--out", str(out), "--config", str(SCRIPTS / name),
+                     "sweep", "--n", "20", "--lambdas", "14:16:2", "--runs", "1"]) == 0
+        assert [line.split(";")[0] for line in out.read_text().splitlines()] == ["14", "16"]
 
 
 class TestSweep:
@@ -881,6 +908,33 @@ class TestCli:
         argv = ["--threads", threads] + command + ["--max-generations", generations]
         assert main(argv) == 1
         assert message in capsys.readouterr().err
+
+    def test_entrypoint_success(self, capsys):
+        argv = ["--seed", "1", "--threads", "1", "sweep", "--n", "20", "--lambdas", "4:8:2",
+                "--runs", "2"]
+        result = _umda(argv)
+        assert main(argv) == 0
+        assert (result.returncode, result.stdout) == (0, capsys.readouterr().out)
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (["--out", "{missing}", "sweep", "--n", "20", "--lambdas", "4:8:2", "--runs", "2"],
+             2, "i/o error: "),
+            # as an exact integer power this does not finish
+            (["sweep", "--n", "10", "--lambdas", "4:4:1", "--runs", "1", "--mu-rule", "9**9**9"],
+             1, "configuration error: cannot evaluate rule '9**9**9': "),
+            # building the runs before checking their streams would not finish
+            (["--threads", "1", "scaling", "--n-values", "16", "--mu-rule", "3",
+              "--runs", "4294967297"],
+             1, "configuration error: run_index must fit in 32 bits"),
+        ],
+        ids=["unwritable-out", "power", "runs"],
+    )
+    def test_entrypoint_exit_code(self, argv, code, message, tmp_path):
+        result = _umda([a.format(missing=tmp_path / "missing" / "x.csv") for a in argv])
+        assert result.returncode == code
+        assert result.stderr.startswith(message), result.stderr
 
     def test_scaling_command(self, capsys):
         rc = main(

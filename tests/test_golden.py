@@ -7,6 +7,7 @@ must leave every one of them as it is.
 """
 
 import hashlib
+from dataclasses import astuple
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,20 @@ def test_sweep_csv_digest(tmp_path):
     write_lines(str(path), sweep_lines(run_sweep(cfg, threads=2), header=True))
     assert digest(path.read_bytes()) == (
         "288786762423864374ad5d7c1395718270271c3ad34d410d0f7a3fb62da64790"
+    )
+
+
+def test_generation_records_digest():
+    # every field of every per-generation record, floats at full repr, then
+    # both totals; n <= 64 keeps each float sum inside one numpy
+    # pairwise-summation block, so the sums do not depend on its blocking
+    result = run(UmdaConfig(n=48, mu=12, lam=24, master_seed=1))
+    assert (result.verdict, result.generations) == ("optimum_found", 25)
+    telemetry = result.telemetry
+    lines = [";".join(repr(v) for v in astuple(s)) for s in telemetry.per_generation]
+    lines.append(f"{telemetry.total_lower_border_hits};{telemetry.total_upper_border_hits}")
+    assert digest("\n".join(lines).encode()) == (
+        "5119b7502100aacfefb88469dc84a01baee421d86d6e9ae3e3dc19b3ad69cd2e"
     )
 
 
@@ -144,6 +159,12 @@ def test_verify_path_summary_digest():
     assert digest(text.encode()) == (
         "1d0964f6534bf058d943ac6b6b95fee4c92cd939dd0b78a5e760ac56499a9b0b"
     )
+    # the summary rounds to 6 digits, so the measured values are pinned in full too
+    assert [r.measured for r in results] == [
+        {"generations_checked": 600, "violations": 0, "degenerate_generations": 0},
+        {"max_cdf_excess": 3.0171879323193096e-05, "epsilon": 0.03},
+        {"mean_drift": 2.706, "stderr": 0.07783515372617818, "z": 34.765782174974944},
+    ]
 
 
 def test_pmf_check_summary_digest():
