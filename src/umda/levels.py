@@ -77,17 +77,23 @@ def focal_one_counts(
     p: FrequencyVector,
     mu: int,
     lam: int,
-    focal_bit: int,
+    x_t: int,
     trials: int,
     rng: Pcg32,
 ) -> np.ndarray:
-    """Ones at the focal position among the mu selected, per single step.
+    """Samples of X_{t+1} given X_t = x_t: the ones at position 0 among the
+    mu selected, one independent ``sample_and_select`` per trial, no update.
 
-    Each trial runs one independent ``sample_and_select`` from ``p``, with
-    no update; the result is the next-generation one-count X_{t+1} whose
-    distribution the dominance and drift checks examine.
+    Position 0 of a copy of ``p`` is pinned to x_t / mu and the others keep
+    their values; on OneMax the positions are exchangeable, so position 0
+    stands for any.  The dominance and drift checks examine this output.
     """
+    if not 0 <= x_t <= mu:
+        raise ValueError(f"need 0 <= x_t <= mu, got x_t={x_t} mu={mu}")
+    values = p.values.copy()
+    values[0] = x_t / mu
+    pinned = FrequencyVector(values, p.borders)
     out = np.empty(trials, dtype=np.int64)
     for i in range(trials):
-        out[i] = sample_and_select(p, mu, lam, rng)[2][focal_bit]
+        out[i] = sample_and_select(pinned, mu, lam, rng)[2][0]
     return out

@@ -4,8 +4,9 @@ The exact oracles are independent of the simulator: the Poisson-binomial PMF
 is built by direct O(m^2) convolution, its central chunk is read off the PMF,
 and capped-binomial expectations come from exact summation.  One Monte Carlo
 helper, ``empirical_step_drift``, does run the simulator (through
-``levels.focal_one_counts``) to measure the one-step drift of the focal
-one-count against those exact baselines.
+``levels.focal_one_counts``) to measure the one-step drift of the one-count
+at position 0 against those exact baselines; on OneMax the positions are
+exchangeable, so position 0 stands for any.
 
 Asymptotic lower-bound claims are checked as frozen numeric floors: the
 instance-wise constant is computed once over a calibration grid and the
@@ -93,24 +94,14 @@ def empirical_step_drift(
     p: FrequencyVector,
     mu: int,
     lam: int,
-    focal_bit: int,
     x_t: int,
     trials: int,
     rng: Pcg32,
 ) -> tuple[float, float]:
-    """(mean, stderr) of X_{t+1} - X_t over single sample-and-select steps.
-
-    The focal frequency is pinned to x_t / mu; all other positions keep the
-    values from ``p``.  X_{t+1} counts ones at the focal position among the
-    mu selected offspring.
-    """
-    if not 0 <= x_t <= mu:
-        raise ValueError(f"need 0 <= x_t <= mu, got x_t={x_t} mu={mu}")
-    values = p.values.copy()
-    values[focal_bit] = x_t / mu
-    pinned = FrequencyVector(values, p.borders)
-    x_next = focal_one_counts(pinned, mu, lam, focal_bit, trials, rng)
-    deltas = x_next - x_t
+    """(mean, stderr) of X_{t+1} - X_t over single sample-and-select steps,
+    with X_{t+1} drawn by ``focal_one_counts`` at position 0, which stands
+    for any position."""
+    deltas = focal_one_counts(p, mu, lam, x_t, trials, rng) - x_t
     mean = float(deltas.mean())
     stderr = float(deltas.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return mean, stderr

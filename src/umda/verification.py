@@ -231,12 +231,9 @@ def check_dominance(
     DKW slack epsilon at every point.
     """
     worst_excess = -math.inf
+    p = FrequencyVector.uniform(n)
     for x_t in x_values:
-        rng = Pcg32(seed, x_t)
-        values = np.full(n, 0.5)
-        values[0] = x_t / mu
-        p = FrequencyVector(values, borders=True)
-        samples = focal_one_counts(p, mu, lam, 0, trials, rng)
+        samples = focal_one_counts(p, mu, lam, x_t, trials, Pcg32(seed, x_t))
         ecdf = np.cumsum(np.bincount(samples, minlength=mu + 1)) / trials
         bin_cdf = np.cumsum(binomial_pmf(mu, x_t / mu))
         worst_excess = max(worst_excess, float((ecdf - bin_cdf).max()))
@@ -258,9 +255,8 @@ def check_drift_sign(
     seed: int = 105,
 ) -> CheckResult:
     """Selection pushes the focal one-count up: mean one-step drift > 0."""
-    rng = Pcg32(seed, 0)
-    p = FrequencyVector.uniform(n, borders=True)
-    mean, stderr = empirical_step_drift(p, mu, lam, 0, x_t, trials, rng)
+    p = FrequencyVector.uniform(n)
+    mean, stderr = empirical_step_drift(p, mu, lam, x_t, trials, Pcg32(seed, 0))
     z = mean / stderr if stderr > 0 else math.inf
     return CheckResult(
         name="positive_one_step_drift",

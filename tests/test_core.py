@@ -215,22 +215,6 @@ class TestStep:
 
 
 class TestRun:
-    def test_single_bit_success_probability(self):
-        # two samples of one Bernoulli(1/2) bit: optimum in generation 1
-        # with probability 3/4
-        hits = 0
-        trials = 10**5
-        for k in range(trials):
-            # n=1 admits no border interval, so the borderless variant
-            # runs this example; generation 1 samples identically either way
-            cfg = UmdaConfig(
-                n=1, mu=1, lam=2, borders=False, master_seed=99, run_index=k,
-                max_generations=1, record_telemetry=False,
-            )
-            result = run(cfg)
-            hits += result.verdict == "optimum_found" and result.generations == 1
-        assert abs(hits / trials - 0.75) <= 0.01
-
     def test_runtime_accounting(self):
         cfg = UmdaConfig(n=30, mu=10, lam=20, master_seed=11)
         result = run(cfg)

@@ -108,6 +108,8 @@ CASES = {
     "absorbed": (4, 2, 4, False, [0.0, 1.0, 0.5, 0.3]),
     "equal-p": (4, 2, 5, False, [0.3, 0.3, 0.3, 0.6]),
     "cutoff-ties": (3, 3, 6, False, [0.4, 0.5, 0.6]),
+    # the best of two samples of one fair bit is a one with probability 3/4
+    "one-bit": (1, 1, 2, False, [0.5]),
 }
 
 

@@ -1,6 +1,7 @@
 import inspect
 import math
 import os
+import signal
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -884,7 +885,18 @@ class TestCli:
         ],
     )
     def test_rule_arithmetic_error_is_a_config_error(self, argv, capsys):
-        assert main(["--threads", "1"] + argv) == 1
+        # a rule that evaluates without bound fails here after 20 s instead of hanging
+        def expire(signum, frame):
+            pytest.fail("rule evaluation ran past 20 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 20.0)
+        try:
+            rc = main(["--threads", "1"] + argv)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        assert rc == 1
         rule = argv[argv.index("--mu-rule") + 1]
         assert f"configuration error: cannot evaluate rule {rule!r}:" in capsys.readouterr().err
 

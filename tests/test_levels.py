@@ -164,11 +164,26 @@ class TestSecondClassDistribution:
 
 def test_focal_one_counts_runs_no_update(monkeypatch):
     p = FrequencyVector.uniform(20)
-    expected = focal_one_counts(p, 5, 12, 0, trials=30, rng=Pcg32(3, 0))
+    expected = focal_one_counts(p, 5, 12, x_t=3, trials=30, rng=Pcg32(3, 0))
 
     def update(*args, **kwargs):
         raise AssertionError("a focal trial updated the frequencies")
 
     monkeypatch.setattr(core, "update_frequencies", update)
-    counts = focal_one_counts(p, 5, 12, 0, trials=30, rng=Pcg32(3, 0))
+    counts = focal_one_counts(p, 5, 12, x_t=3, trials=30, rng=Pcg32(3, 0))
     assert np.array_equal(counts, expected)
+
+
+@pytest.mark.parametrize("x_t", [-1, 6])
+def test_focal_one_counts_rejects_x_t_outside_0_to_mu(x_t):
+    with pytest.raises(ValueError, match="need 0 <= x_t <= mu"):
+        focal_one_counts(FrequencyVector.uniform(20), 5, 12, x_t, trials=1, rng=Pcg32(3, 0))
+
+
+def test_focal_one_counts_pins_a_copy():
+    # position 0 is pinned at x_t / mu = 1 without borders, so every selected
+    # individual carries a one there, while the caller's vector keeps 1/2
+    p = FrequencyVector.uniform(20, borders=False)
+    counts = focal_one_counts(p, 5, 12, x_t=5, trials=30, rng=Pcg32(3, 0))
+    assert np.array_equal(counts, np.full(30, 5))
+    assert np.array_equal(p.values, np.full(20, 0.5))

@@ -195,14 +195,14 @@ class TestEmpiricalStepDrift:
     def test_absorbed_at_one_has_zero_drift(self):
         p = FrequencyVector(np.full(20, 0.5), borders=False)
         mean, stderr = empirical_step_drift(
-            p, mu=5, lam=10, focal_bit=0, x_t=5, trials=200, rng=Pcg32(41, 0)
+            p, mu=5, lam=10, x_t=5, trials=200, rng=Pcg32(41, 0)
         )
         assert mean == 0.0 and stderr == 0.0
 
     def test_absorbed_at_zero_has_zero_drift(self):
         p = FrequencyVector(np.full(20, 0.5), borders=False)
         mean, stderr = empirical_step_drift(
-            p, mu=5, lam=10, focal_bit=0, x_t=0, trials=200, rng=Pcg32(42, 0)
+            p, mu=5, lam=10, x_t=0, trials=200, rng=Pcg32(42, 0)
         )
         assert mean == 0.0 and stderr == 0.0
 
@@ -210,14 +210,14 @@ class TestEmpiricalStepDrift:
         n = 50
         p = FrequencyVector(np.full(n, 0.5), borders=True)
         mean, stderr = empirical_step_drift(
-            p, mu=50, lam=100, focal_bit=0, x_t=25, trials=2000, rng=Pcg32(43, 0)
+            p, mu=50, lam=100, x_t=25, trials=2000, rng=Pcg32(43, 0)
         )
         assert mean / stderr >= 5.0
 
     def test_rejects_x_t_out_of_range(self):
         p = FrequencyVector.uniform(10)
         with pytest.raises(ValueError):
-            empirical_step_drift(p, 4, 8, 0, x_t=5, trials=10, rng=Pcg32(0, 0))
+            empirical_step_drift(p, 4, 8, x_t=5, trials=10, rng=Pcg32(0, 0))
 
 
 def test_binomial_pmf_matches_scipy():
