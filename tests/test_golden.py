@@ -7,11 +7,13 @@ must leave every one of them as it is.
 """
 
 import hashlib
+import json
 from dataclasses import astuple
 from pathlib import Path
 
 import pytest
 
+from umda import cli
 from umda.cli import main
 from umda.core import UmdaConfig, run
 from umda.experiments import (
@@ -28,6 +30,7 @@ from umda.verification import (
     check_dominance,
     check_drift_sign,
     check_pmf_properties,
+    run_all_checks,
 )
 
 
@@ -144,6 +147,28 @@ def test_phase_stdout_digest(capsys):
     assert rc == 0
     assert digest(capsys.readouterr().out.encode()) == (
         "34d7e5e6c33c4d222a7d74093fa088b53ceffb4e16ebc2c82734a8337498878d"
+    )
+
+
+def test_verify_stdout_and_measured_digest(monkeypatch, capsys):
+    # `umda verify` once at its defaults: its exit status and printed lines,
+    # and every check's name, verdict and measured values at full float
+    # precision (the summary lines round them to 6 digits)
+    kept = []
+
+    def keep():
+        kept.extend(run_all_checks())
+        return kept
+
+    monkeypatch.setattr(cli, "run_all_checks", keep)
+    assert main(["verify"]) == 0
+    assert digest(capsys.readouterr().out.encode()) == (
+        "3d65b87fafff72b791875359dbc6c41b1f40be626d80ee1bbe2e8232bb144f00"
+    )
+    measured = [[r.name, bool(r.passed), {k: float(v) for k, v in r.measured.items()}]
+                for r in kept]
+    assert digest(json.dumps([measured]).encode()) == (
+        "45f7e145190292b701095b301c0b3a04322d4eeee18a94da3f5157161ceb6ece"
     )
 
 
