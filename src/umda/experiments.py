@@ -5,8 +5,8 @@ pairs, one template config per swept value; run k of a setting is its
 template on stream derive_stream(setting, k), so the streams depend only on
 (master seed, setting, run index).  Every check precedes the first run:
 UmdaConfig checks each template, then ``run_batch`` the run count, thread
-count and streams.  The runs go to a worker pool and come back in
-run-index order, so results never depend on scheduling.
+count, streams and population sizes.  The runs go to a worker pool and
+come back in run-index order, so results never depend on scheduling.
 ``summarize`` reduces each setting's batch to one SettingSummary (verdict
 shares and success-only means and medians), and the sweep, the scaling
 study and the phase probe all return these rows; ``log_log_slope`` fits the
@@ -35,6 +35,9 @@ import numpy as np
 
 from .core import UmdaConfig, run
 from .rng import derive_stream
+
+#: The largest lambda * n that run_batch admits: one population's bool matrix, in bytes.
+MAX_POPULATION_BYTES = 2**31
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +247,10 @@ def run_batch(settings, runs: int, threads: int | None) -> list[list[RunSummary]
     Run k of a setting is its template config with run_index set to
     derive_stream(setting, k) and record_telemetry off; the template's own
     values of those two fields are ignored.  The summaries come back split
-    by setting, in the order of ``settings`` and, within each, in run-index
-    order.  Before building a run it checks ``runs``, ``threads`` and each
-    setting's last stream, which bounds the others.  No more workers start
-    than ``threads``, the runs or the CPUs this process may run on.
+    by setting, in order, each in run-index order.  Before building a run
+    it checks ``runs``, ``threads``, each setting's last stream (it bounds
+    the others), then lam * n <= MAX_POPULATION_BYTES.  No more workers
+    start than ``threads``, the runs or the CPUs this process may run on.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
@@ -255,6 +258,9 @@ def run_batch(settings, runs: int, threads: int | None) -> list[list[RunSummary]
         raise ValueError(f"threads must be >= 1, got {threads}")
     for setting, _ in settings:
         derive_stream(setting, runs - 1)
+    for _, cfg in settings:
+        if cfg.lam * cfg.n > MAX_POPULATION_BYTES:
+            raise ValueError(f"need lam * n <= {MAX_POPULATION_BYTES}, got {cfg.lam} * {cfg.n}")
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     configs = [

@@ -133,8 +133,9 @@ class TestStep:
     def test_frequencies_are_multiples_of_one_over_mu_or_borders(self):
         cfg = UmdaConfig(n=20, mu=10, lam=20, master_seed=6)
         p = FrequencyVector.uniform(20)
-        for t in range(1, 30):
-            _, _, counts = sample_and_select(p, cfg.mu, cfg.lam, cfg.make_rng())
+        rng = cfg.make_rng()
+        for _ in range(29):
+            _, _, counts = sample_and_select(p, cfg.mu, cfg.lam, rng)
             p = update_frequencies(counts, cfg.mu, p.borders).frequencies
             v = p.values
             at_border = (v == p.lower_limit) | (v == p.upper_limit)

@@ -18,6 +18,7 @@ from umda.cli import main
 from umda.core import UmdaConfig
 from umda.experiments import (
     CSV_HEADER,
+    MAX_POPULATION_BYTES,
     SETTINGS,
     SettingSummary,
     SweepConfig,
@@ -533,6 +534,18 @@ class TestScalingAndPhase:
         with pytest.raises(ValueError, match="runs must be >= 1"):
             run_batch([(8, UmdaConfig(n=10, mu=4, lam=8))], 0, 1)
 
+    def test_batch_bounds_lam_times_n(self, monkeypatch):
+        # the runs are stubbed, so no population is allocated
+        seen = []
+        monkeypatch.setattr(experiments, "_run_summary", seen.append)
+        lam = 2**10
+        at_bound = UmdaConfig(n=MAX_POPULATION_BYTES // lam, mu=2, lam=lam)
+        with pytest.raises(ValueError, match=r"need lam \* n <= 2147483648, got 1024 \* 2097153"):
+            run_batch([(lam, replace(at_bound, n=at_bound.n + 1))], 1, 1)
+        assert seen == []
+        run_batch([(lam, at_bound)], 1, 1)
+        assert [cfg.lam * cfg.n for cfg in seen] == [MAX_POPULATION_BYTES]
+
     def test_pool_is_no_larger_than_the_batch(self, monkeypatch):
         built = _record_pools(monkeypatch)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
@@ -815,18 +828,6 @@ class TestCli:
         assert main(["verify"]) == 3
         assert "FAIL stub" in capsys.readouterr().out
 
-    def test_verify_success_exit_code(self, monkeypatch, capsys):
-        from umda import cli
-        from umda.verification import CheckResult
-
-        monkeypatch.setattr(
-            cli,
-            "run_all_checks",
-            lambda: [CheckResult(name="stub", passed=True, measured={})],
-        )
-        assert main(["verify"]) == 0
-        assert "PASS stub" in capsys.readouterr().out
-
     def test_internal_key_error_is_not_a_config_error(self, monkeypatch):
         from umda import cli
 
@@ -854,6 +855,13 @@ class TestCli:
                    "--mu-large", "2", "--runs", "0"])
         assert rc == 1
         assert "runs must be >= 1" in capsys.readouterr().err
+
+    def test_population_past_the_bound_is_a_config_error(self, monkeypatch, capsys):
+        # one population of this sweep would be a 93-GiB bool matrix
+        _forbid_runs(monkeypatch)
+        assert main(["--threads", "1", "sweep", "--n", "1000000", "--lambdas",
+                     "100000:100000:1", "--runs", "1"]) == 1
+        assert capsys.readouterr().err.startswith("configuration error: need lam * n <= ")
 
     def test_phase_stream_overflow_exit_code(self, monkeypatch, capsys):
         _forbid_runs(monkeypatch)
