@@ -828,6 +828,18 @@ class TestCli:
         assert main(["verify"]) == 3
         assert "FAIL stub" in capsys.readouterr().out
 
+    def test_verify_success_exit_code(self, monkeypatch, capsys):
+        from umda import cli
+        from umda.verification import CheckResult
+
+        monkeypatch.setattr(
+            cli,
+            "run_all_checks",
+            lambda: [CheckResult(name="stub", passed=True, measured={})],
+        )
+        assert main(["verify"]) == 0
+        assert "PASS stub" in capsys.readouterr().out
+
     def test_internal_key_error_is_not_a_config_error(self, monkeypatch):
         from umda import cli
 

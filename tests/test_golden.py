@@ -24,7 +24,13 @@ from umda.experiments import (
     sweep_lines,
     write_lines,
 )
-from umda.verification import run_all_checks
+from umda.verification import (
+    check_chunk_property,
+    check_decomposition_invariants,
+    check_dominance,
+    check_drift_sign,
+    run_all_checks,
+)
 
 
 def digest(data: bytes) -> str:
@@ -163,6 +169,39 @@ def test_verify_stdout_and_measured_digest(monkeypatch, capsys):
     assert digest(json.dumps([measured]).encode()) == (
         "45f7e145190292b701095b301c0b3a04322d4eeee18a94da3f5157161ceb6ece"
     )
+
+
+def test_verify_path_summary_digest():
+    # the decomposition walk and the focal single-step trials behind the
+    # dominance and drift checks, at reduced sizes and their default seeds
+    results = (
+        check_decomposition_invariants(generations=600),
+        check_dominance(trials=2000),
+        check_drift_sign(trials=2000),
+    )
+    text = "\n".join(r.summary() for r in results)
+    assert digest(text.encode()) == (
+        "1d0964f6534bf058d943ac6b6b95fee4c92cd939dd0b78a5e760ac56499a9b0b"
+    )
+    # the summary rounds to 6 digits, so the measured values are pinned in full too
+    assert [r.measured for r in results] == [
+        {"generations_checked": 600, "violations": 0, "degenerate_generations": 0},
+        {"max_cdf_excess": 3.0171879323193096e-05, "epsilon": 0.03},
+        {"mean_drift": 2.706, "stderr": 0.07783515372617818, "z": 34.765782174974944},
+    ]
+
+
+def test_chunk_check_summary_digest():
+    # the chunk check at a reduced size and its default seed; the summary
+    # rounds to 6 digits, so the two measured floats are pinned in full too
+    result = check_chunk_property(instances=40, m_range=(5, 60))
+    assert digest(result.summary().encode()) == (
+        "4ebf6a672bff65084632ca6fcafa9e10d3be1fd51ae946a30c6ddcd7837b48c0"
+    )
+    assert result.measured == {
+        "min_sigma_scaled_pmf": 0.24969718702564653,
+        "min_coverage_slack": 0.035042301176157586,
+    }
 
 
 def test_reference_sweep_csv_digest():
