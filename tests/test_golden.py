@@ -25,7 +25,6 @@ from umda.experiments import (
     write_lines,
 )
 from umda.verification import (
-    check_chunk_property,
     check_decomposition_invariants,
     check_dominance,
     check_drift_sign,
@@ -189,19 +188,6 @@ def test_verify_path_summary_digest():
         {"max_cdf_excess": 3.0171879323193096e-05, "epsilon": 0.03},
         {"mean_drift": 2.706, "stderr": 0.07783515372617818, "z": 34.765782174974944},
     ]
-
-
-def test_chunk_check_summary_digest():
-    # the chunk check at a reduced size and its default seed; the summary
-    # rounds to 6 digits, so the two measured floats are pinned in full too
-    result = check_chunk_property(instances=40, m_range=(5, 60))
-    assert digest(result.summary().encode()) == (
-        "4ebf6a672bff65084632ca6fcafa9e10d3be1fd51ae946a30c6ddcd7837b48c0"
-    )
-    assert result.measured == {
-        "min_sigma_scaled_pmf": 0.24969718702564653,
-        "min_coverage_slack": 0.035042301176157586,
-    }
 
 
 def test_reference_sweep_csv_digest():
