@@ -36,67 +36,57 @@ EXIT_CONFIG = 1
 EXIT_IO = 2
 EXIT_VERIFY = 3
 
-#: The commands that read each global flag, keyed by the flag's argparse
-#: dest; any other command rejects the flag instead of ignoring it.
-GLOBAL_FLAGS = {
-    "master_seed": ("--seed", ("sweep", "scaling", "phase")),
-    "threads": ("--threads", ("sweep", "scaling", "phase")),
-    "output_path": ("--out", ("sweep", "scaling")),
-    "config": ("--config", ("sweep",)),
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
+    # Each command takes only the flags it reads: `run` holds those of the
+    # three commands that run UMDA, `output` the two that `phase` (always
+    # borderless, print-only) lacks.  Any other flag is an argparse usage
+    # error, which main reports as exit 1.
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--seed", dest="master_seed", default=None, help="master seed")
+    run.add_argument(
+        "--threads", type=int, default=None,
+        help="worker processes (default: the CPUs this process may run on)",
+    )
+    run.add_argument("--max-generations", default=None)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", dest="output_path", default=None, help="output file path")
+    output.add_argument(
+        "--borders", default=None, help="restricted (UMDA) or unrestricted (UMDA*)"
+    )
+
     parser = argparse.ArgumentParser(
         prog="umda",
         description="UMDA/UMDA* simulator on OneMax: sweeps, scaling studies, "
         "phase-transition probes, and a statistical verification suite.",
     )
-    parser.add_argument("--seed", dest="master_seed", default=None, help="master seed")
-    parser.add_argument(
-        "--threads", type=int, default=None,
-        help="worker processes (default: the CPUs this process may run on)",
-    )
-    parser.add_argument(
-        "--out", dest="output_path", default=None,
-        help="output file path (sweep and scaling only)",
-    )
-    parser.add_argument(
-        "--config", default=None, help="key = value config file (sweep only)"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sweep = sub.add_parser("sweep", help="lambda sweep with CSV output")
+    sweep = sub.add_parser("sweep", parents=[run, output], help="lambda sweep with CSV output")
+    sweep.add_argument("--config", default=None, help="key = value config file")
     sweep.add_argument("--n", default=None)
     sweep.add_argument(
         "--lambdas", dest="lambda_values", default=None,
         help="lambda range start:stop:step (stop inclusive)",
     )
     sweep.add_argument("--mu-rule", default=None, help="e.g. lam/2")
-    sweep.add_argument(
-        "--borders", default=None, help="restricted (UMDA) or unrestricted (UMDA*)"
-    )
-    sweep.add_argument(
-        "--runs", dest="runs_per_setting", default=None, help="runs per lambda"
-    )
-    sweep.add_argument("--max-generations", default=None)
+    sweep.add_argument("--runs", dest="runs_per_setting", default=None, help="runs per lambda")
     sweep.add_argument("--header", action="store_true", help="write a header line")
 
-    scaling = sub.add_parser("scaling", help="median generations vs n, lambda = 2*mu")
+    scaling = sub.add_parser(
+        "scaling", parents=[run, output], help="median generations vs n, lambda = 2*mu"
+    )
     scaling.add_argument("--n-values", required=True, help="e.g. 64,256,1024")
     scaling.add_argument("--mu-rule", required=True, help="e.g. ceil(3*sqrt(n)*log(n))")
     scaling.add_argument("--runs", default=None)
-    scaling.add_argument("--borders", default=None, help="restricted or unrestricted")
-    scaling.add_argument("--max-generations", default=None)
 
     phase = sub.add_parser(
-        "phase", help="borderless stagnation probe below/above the transition"
+        "phase", parents=[run], help="borderless stagnation probe below/above the transition"
     )
     phase.add_argument("--n", required=True)
     phase.add_argument("--mu-small", required=True)
     phase.add_argument("--mu-large", required=True)
     phase.add_argument("--runs", default=None)
-    phase.add_argument("--max-generations", default=None)
 
     sub.add_parser("verify", help="run the oracle-backed verification suite")
     return parser
@@ -172,9 +162,6 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
     }
     try:
-        for dest, (flag, commands) in GLOBAL_FLAGS.items():
-            if getattr(args, dest) is not None and args.command not in commands:
-                raise ValueError(f"{flag} does not apply to {args.command}")
         return handlers[args.command](args)
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -7,10 +7,6 @@ helper, ``empirical_step_drift``, does run the simulator (through
 ``levels.focal_one_counts``) to measure the one-step drift of the one-count
 at position 0 against those exact baselines; on OneMax the positions are
 exchangeable, so position 0 stands for any.
-
-Asymptotic lower-bound claims are checked as frozen numeric floors: the
-instance-wise constant is computed once over a calibration grid and the
-observed minimum, rounded down, becomes a regression bound.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 import inspect
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -334,7 +335,7 @@ class TestSweepConfig:
             sweep_config_from_mapping(mapping)
         path = tmp_path / "s.cfg"
         path.write_text("".join(f"{k} = {v}\n" for k, v in mapping.items()))
-        assert main(["--config", str(path), "--threads", "1", "sweep"]) == 1
+        assert main(["sweep", "--config", str(path), "--threads", "1"]) == 1
 
     def test_config_file_round_trip(self, tmp_path):
         path = tmp_path / "sweep.cfg"
@@ -385,7 +386,7 @@ class TestSweepConfig:
         path.write_text("n = 30\nlambda_values = 10:10:1\nn = 40\n")
         with pytest.raises(ValueError, match=r"dup\.cfg:3: duplicate key 'n'"):
             parse_config_file(str(path))
-        assert main(["--config", str(path), "--threads", "1", "sweep"]) == 1
+        assert main(["sweep", "--config", str(path), "--threads", "1"]) == 1
 
 
 class TestPresets:
@@ -411,8 +412,8 @@ class TestPresets:
     @pytest.mark.parametrize("name", ["desk_sweep.cfg", "reference_sweep.cfg", "paper_sweep.cfg"])
     def test_preset_runs_shrunk_by_flag_overrides(self, name, tmp_path):
         out = tmp_path / "out.csv"
-        assert main(["--threads", "1", "--out", str(out), "--config", str(SCRIPTS / name),
-                     "sweep", "--n", "20", "--lambdas", "14:16:2", "--runs", "1"]) == 0
+        assert main(["sweep", "--threads", "1", "--out", str(out), "--config", str(SCRIPTS / name),
+                     "--n", "20", "--lambdas", "14:16:2", "--runs", "1"]) == 0
         assert [line.split(";")[0] for line in out.read_text().splitlines()] == ["14", "16"]
 
 
@@ -631,36 +632,19 @@ class TestCli:
         out = tmp_path / "cli.csv"
         rc = main(
             [
-                "--seed", "3", "--threads", "1", "--out", str(out),
-                "sweep", "--n", "40", "--lambdas", "8:16:8", "--runs", "3",
+                "sweep", "--seed", "3", "--threads", "1", "--out", str(out),
+                "--n", "40", "--lambdas", "8:16:8", "--runs", "3",
             ]
         )
         assert rc == 0
         assert len(out.read_text().strip().split("\n")) == 2
-
-    def test_sweep_prints_without_out(self, capsys):
-        rc = main(
-            ["--threads", "1", "sweep", "--n", "30", "--lambdas", "10:10:1",
-             "--runs", "2"]
-        )
-        assert rc == 0
-        printed = capsys.readouterr().out.strip()
-        assert printed.startswith("10;")
-
-    def test_header_on_stdout(self, capsys):
-        rc = main(["--threads", "1", "sweep", "--n", "20", "--lambdas", "4:8:4",
-                   "--runs", "2", "--header"])
-        assert rc == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == CSV_HEADER
-        assert [line.split(";")[0] for line in lines[1:]] == ["4", "8"]
 
     def test_config_file_with_flag_overrides(self, tmp_path):
         cfgfile = tmp_path / "s.cfg"
         cfgfile.write_text("n = 30\nlambda_values = 10:10:1\nruns_per_setting = 2\n")
         out = tmp_path / "o.csv"
         rc = main(
-            ["--config", str(cfgfile), "--threads", "1", "--out", str(out), "sweep"]
+            ["sweep", "--config", str(cfgfile), "--threads", "1", "--out", str(out)]
         )
         assert rc == 0
         assert out.exists()
@@ -678,7 +662,7 @@ class TestCli:
         )
         out = str(tmp_path / "b.csv")
         rc = main(
-            ["--config", str(cfgfile), "--seed", "9", "--out", out, "sweep",
+            ["sweep", "--config", str(cfgfile), "--seed", "9", "--out", out,
              "--n", "40", "--lambdas", "8:16:8", "--mu-rule", "lam/4",
              "--borders", "unrestricted", "--runs", "3", "--max-generations", "7"]
         )
@@ -691,40 +675,63 @@ class TestCli:
         ]
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["--config", "{cfg}", "--threads", "1", "scaling", "--n-values", "24",
-             "--mu-rule", "4", "--runs", "1"],
-            ["--config", "{cfg}", "phase", "--n", "10", "--mu-small", "1",
-             "--mu-large", "2", "--runs", "1"],
-            ["--config", "{cfg}", "verify"],
-            ["--out", "{out}", "phase", "--n", "10", "--mu-small", "1",
-             "--mu-large", "2", "--runs", "1"],
-            ["--out", "{out}", "verify"],
-            ["--seed", "5", "verify"],
-            ["--threads", "3", "verify"],
+            (["scaling", "--threads", "1", "--n-values", "24", "--mu-rule", "4", "--runs", "1",
+              "--config", "{cfg}"], "unrecognized arguments: --config"),
+            (["phase", "--n", "10", "--mu-small", "1", "--mu-large", "2", "--runs", "1",
+              "--config", "{cfg}"], "unrecognized arguments: --config"),
+            (["verify", "--config", "{cfg}"], "unrecognized arguments: --config"),
+            (["phase", "--n", "10", "--mu-small", "1", "--mu-large", "2", "--runs", "1",
+              "--out", "{out}"], "unrecognized arguments: --out"),
+            (["verify", "--out", "{out}"], "unrecognized arguments: --out"),
+            (["verify", "--seed", "5"], "unrecognized arguments: --seed"),
+            (["verify", "--threads", "3"], "unrecognized arguments: --threads"),
+            # a flag before its command: the parser takes the flag's value as the command
+            (["--seed", "1", "sweep", "--n", "30", "--lambdas", "10:10:1", "--out", "{out}"],
+             "invalid choice: '1'"),
         ],
+        ids=["scaling-config", "phase-config", "verify-config", "phase-out", "verify-out",
+             "verify-seed", "verify-threads", "seed-before-sweep"],
     )
-    def test_global_flag_the_command_ignores_is_a_config_error(
-        self, argv, tmp_path, monkeypatch, capsys
+    def test_flag_the_command_does_not_read_is_a_config_error(
+        self, argv, message, tmp_path, monkeypatch, capsys
     ):
         from umda import cli
 
         def ran(*args, **kwargs):
             raise AssertionError("the command ran")
 
-        for name in ("run_scaling_study", "run_phase_transition_probe", "run_all_checks"):
+        for name in ("run_sweep", "run_scaling_study", "run_phase_transition_probe",
+                     "run_all_checks"):
             monkeypatch.setattr(cli, name, ran)
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text("no_such_key = 1\n")
         out = tmp_path / "f.txt"
         argv = [a.format(cfg=cfgfile, out=out) for a in argv]
         assert main(argv) == 1
-        assert "does not apply to" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("sweep", {"--seed", "--threads", "--max-generations", "--out", "--borders",
+                       "--config", "--n", "--lambdas", "--mu-rule", "--runs", "--header"}),
+            ("scaling", {"--seed", "--threads", "--max-generations", "--out", "--borders",
+                         "--n-values", "--mu-rule", "--runs"}),
+            ("phase", {"--seed", "--threads", "--max-generations", "--n", "--mu-small",
+                       "--mu-large", "--runs"}),
+            ("verify", set()),
+        ],
+    )
+    def test_help_lists_the_flags_its_command_reads(self, command, flags, capsys):
+        assert main([command, "-h"]) == 0
+        listed = set(re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.MULTILINE))
+        assert listed == flags
+
     def test_bad_config_exit_code(self):
-        assert main(["--threads", "1", "sweep", "--n", "30",
+        assert main(["sweep", "--threads", "1", "--n", "30",
                      "--lambdas", "10:4:2"]) == 1
 
     @pytest.mark.parametrize(
@@ -746,7 +753,7 @@ class TestCli:
             (["phase", "--n", "10", "--mu-small", "1", "--mu-large", "x"], None, "mu_large"),
             (["phase", "--n", "10", "--mu-small", "1", "--mu-large", "2", "--runs", "two"],
              None, "runs"),
-            (["--seed", "x", "sweep", "--n", "10", "--lambdas", "4:8:2"], None, "master_seed"),
+            (["sweep", "--seed", "x", "--n", "10", "--lambdas", "4:8:2"], None, "master_seed"),
         ],
         ids=["n", "lambdas", "lambdas-arity", "config-runs", "max-generations", "borders",
              "n-values", "n-values-inner-empty", "n-values-trailing-empty",
@@ -756,22 +763,22 @@ class TestCli:
         if config is not None:
             path = tmp_path / "s.cfg"
             path.write_text(config)
-            argv = ["--config", str(path)] + argv
-        assert main(["--threads", "1"] + argv) == 1
+            argv = argv + ["--config", str(path)]
+        assert main(argv + ["--threads", "1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {name}: "), err
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_exit_code(self, seed, capsys):
         # Pcg32 would run these as seeds 2**64 - 1 and 0
-        assert main(["--seed", str(seed), "--threads", "1", "sweep", "--n", "20",
+        assert main(["sweep", "--seed", str(seed), "--threads", "1", "--n", "20",
                      "--lambdas", "4:8:2", "--runs", "2"]) == 1
         assert "configuration error" in capsys.readouterr().err
 
     def test_unwritable_output_exit_code(self, tmp_path):
         rc = main(
-            ["--threads", "1", "--out", str(tmp_path / "no" / "dir" / "x.csv"),
-             "sweep", "--n", "30", "--lambdas", "10:10:1", "--runs", "2"]
+            ["sweep", "--threads", "1", "--out", str(tmp_path / "no" / "dir" / "x.csv"),
+             "--n", "30", "--lambdas", "10:10:1", "--runs", "2"]
         )
         assert rc == 2
 
@@ -788,7 +795,7 @@ class TestCli:
         calls = []
         monkeypatch.setattr(cli, name, lambda *args, **kwargs: calls.append(name))
         out = str(tmp_path / "missing" / "x.csv")
-        assert main(["--threads", "1", "--out", out] + argv) == 2
+        assert main(argv + ["--threads", "1", "--out", out]) == 2
         assert calls == []
 
     def test_existing_out_is_kept_until_the_results_are_ready(self, tmp_path, monkeypatch):
@@ -800,20 +807,20 @@ class TestCli:
         monkeypatch.setattr(
             cli, "run_sweep", lambda cfg, threads: seen.append(out.read_text()) or []
         )
-        assert main(["--out", str(out), "sweep", "--n", "30", "--lambdas", "10:10:1"]) == 0
+        assert main(["sweep", "--out", str(out), "--n", "30", "--lambdas", "10:10:1"]) == 0
         assert seen == ["earlier results\n"]
 
     @pytest.mark.parametrize(
         "argv",
         [
-            ["--threads", "0", "sweep", "--n", "20", "--lambdas", "4:8:2", "--runs", "2"],
+            ["sweep", "--threads", "0", "--n", "20", "--lambdas", "4:8:2", "--runs", "2"],
             ["scaling", "--n-values", "1,4", "--mu-rule", "2", "--runs", "1"],
             ["sweep", "--n", "20", "--lambdas", "4:8:2", "--runs", "2", "--mu-rule", "lam"],
         ],
     )
     def test_config_error_leaves_no_out_file(self, argv, tmp_path):
         out = tmp_path / "x.csv"
-        assert main(["--out", str(out)] + argv) == 1
+        assert main(argv + ["--out", str(out)]) == 1
         assert not out.exists()
 
     def test_verify_failure_exit_code(self, monkeypatch, capsys):
@@ -848,7 +855,7 @@ class TestCli:
 
         monkeypatch.setattr(cli, "run_sweep", broken)
         with pytest.raises(KeyError):
-            main(["--threads", "1", "sweep", "--n", "30", "--lambdas", "10:10:1"])
+            main(["sweep", "--threads", "1", "--n", "30", "--lambdas", "10:10:1"])
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_value_error_in_a_run_is_not_a_config_error(self, threads, monkeypatch, capsys):
@@ -857,13 +864,13 @@ class TestCli:
 
         monkeypatch.setattr(experiments, "run", broken)
         with pytest.raises(RuntimeError) as info:
-            main(["--threads", threads, "sweep", "--n", "30", "--lambdas", "10:10:1",
+            main(["sweep", "--threads", threads, "--n", "30", "--lambdas", "10:10:1",
                   "--runs", "2"])
         assert isinstance(info.value.__cause__, ValueError)
         assert "configuration error" not in capsys.readouterr().err
 
     def test_phase_zero_runs_exit_code(self, capsys):
-        rc = main(["--threads", "1", "phase", "--n", "10", "--mu-small", "1",
+        rc = main(["phase", "--threads", "1", "--n", "10", "--mu-small", "1",
                    "--mu-large", "2", "--runs", "0"])
         assert rc == 1
         assert "runs must be >= 1" in capsys.readouterr().err
@@ -871,18 +878,18 @@ class TestCli:
     def test_population_past_the_bound_is_a_config_error(self, monkeypatch, capsys):
         # one population of this sweep would be a 93-GiB bool matrix
         _forbid_runs(monkeypatch)
-        assert main(["--threads", "1", "sweep", "--n", "1000000", "--lambdas",
+        assert main(["sweep", "--threads", "1", "--n", "1000000", "--lambdas",
                      "100000:100000:1", "--runs", "1"]) == 1
         assert capsys.readouterr().err.startswith("configuration error: need lam * n <= ")
 
     def test_phase_stream_overflow_exit_code(self, monkeypatch, capsys):
         _forbid_runs(monkeypatch)
-        assert main(["--threads", "1", "phase", "--n", "20", "--mu-small", "2",
+        assert main(["phase", "--threads", "1", "--n", "20", "--mu-small", "2",
                      "--mu-large", "4", "--runs", "4294967297"]) == 1
         assert "configuration error: run_index must fit in 32 bits" in capsys.readouterr().err
 
     def test_scaling_zero_runs_exit_code(self, capsys):
-        rc = main(["--threads", "1", "scaling", "--n-values", "24,48",
+        rc = main(["scaling", "--threads", "1", "--n-values", "24,48",
                    "--mu-rule", "ceil(3*sqrt(n)*log(n))", "--runs", "0"])
         assert rc == 1
         assert "runs must be >= 1" in capsys.readouterr().err
@@ -912,7 +919,7 @@ class TestCli:
         previous = signal.signal(signal.SIGALRM, expire)
         signal.setitimer(signal.ITIMER_REAL, 20.0)
         try:
-            rc = main(["--threads", "1"] + argv)
+            rc = main(argv + ["--threads", "1"])
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, previous)
@@ -937,12 +944,12 @@ class TestCli:
         ],
     )
     def test_out_of_range_flag_exit_code(self, command, threads, generations, message, capsys):
-        argv = ["--threads", threads] + command + ["--max-generations", generations]
+        argv = command + ["--threads", threads, "--max-generations", generations]
         assert main(argv) == 1
         assert message in capsys.readouterr().err
 
     def test_entrypoint_success(self, capsys):
-        argv = ["--seed", "1", "--threads", "1", "sweep", "--n", "20", "--lambdas", "4:8:2",
+        argv = ["sweep", "--seed", "1", "--threads", "1", "--n", "20", "--lambdas", "4:8:2",
                 "--runs", "2"]
         result = _umda(argv)
         assert main(argv) == 0
@@ -951,13 +958,13 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv, code, message",
         [
-            (["--out", "{missing}", "sweep", "--n", "20", "--lambdas", "4:8:2", "--runs", "2"],
+            (["sweep", "--out", "{missing}", "--n", "20", "--lambdas", "4:8:2", "--runs", "2"],
              2, "i/o error: "),
             # as an exact integer power this does not finish
             (["sweep", "--n", "10", "--lambdas", "4:4:1", "--runs", "1", "--mu-rule", "9**9**9"],
              1, "configuration error: cannot evaluate rule '9**9**9': "),
             # building the runs before checking their streams would not finish
-            (["--threads", "1", "scaling", "--n-values", "16", "--mu-rule", "3",
+            (["scaling", "--threads", "1", "--n-values", "16", "--mu-rule", "3",
               "--runs", "4294967297"],
              1, "configuration error: run_index must fit in 32 bits"),
         ],
@@ -968,17 +975,8 @@ class TestCli:
         assert result.returncode == code
         assert result.stderr.startswith(message), result.stderr
 
-    def test_scaling_command(self, capsys):
-        rc = main(
-            ["--threads", "1", "--seed", "4", "scaling", "--n-values", "24,48",
-             "--mu-rule", "ceil(3*sqrt(n)*log(n))", "--runs", "3"]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "log-log slope" in out
-
     def test_scaling_without_a_success_names_the_missing_medians(self, capsys):
-        rc = main(["--threads", "1", "scaling", "--n-values", "32,64", "--mu-rule", "3",
+        rc = main(["scaling", "--threads", "1", "--n-values", "32,64", "--mu-rule", "3",
                    "--runs", "2", "--max-generations", "1"])
         assert rc == 0
         lines = capsys.readouterr().out.splitlines()

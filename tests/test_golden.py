@@ -79,13 +79,13 @@ def test_trajectory_export_digest(tmp_path):
     )
 
 
-SCALING_ARGV = ["--seed", "3", "--threads", "1", "scaling", "--n-values", "32,64",
+SCALING_ARGV = ["scaling", "--seed", "3", "--threads", "1", "--n-values", "32,64",
                 "--mu-rule", "ceil(3*log(n))", "--runs", "6"]
 
 
 def test_scaling_out_file_digest(tmp_path, capsys):
     path = tmp_path / "scaling.csv"
-    rc = main(["--out", str(path)] + SCALING_ARGV)
+    rc = main(SCALING_ARGV + ["--out", str(path)])
     assert rc == 0
     assert digest(path.read_bytes()) == (
         "475145c4ab1eeb5408742c02cb709121fc085bb365b2b081e369a7b5cfa83a64"
@@ -101,7 +101,7 @@ def test_scaling_stdout_digest(capsys):
 
 def test_sweep_stdout_digest(capsys):
     rc = main(
-        ["--seed", "11", "--threads", "1", "sweep", "--n", "100",
+        ["sweep", "--seed", "11", "--threads", "1", "--n", "100",
          "--lambdas", "10:40:10", "--mu-rule", "lam/2", "--runs", "20"]
     )
     assert rc == 0
@@ -110,7 +110,7 @@ def test_sweep_stdout_digest(capsys):
     )
 
 
-HEADER_SWEEP_ARGV = ["--seed", "11", "--threads", "1", "sweep", "--n", "100",
+HEADER_SWEEP_ARGV = ["sweep", "--seed", "11", "--threads", "1", "--n", "100",
                      "--lambdas", "10:40:10", "--runs", "20", "--header"]
 
 
@@ -123,7 +123,7 @@ def test_sweep_header_stdout_digest(capsys):
 
 def test_sweep_header_out_file_digest(tmp_path, capsys):
     path = tmp_path / "sweep.csv"
-    assert main(["--out", str(path)] + HEADER_SWEEP_ARGV) == 0
+    assert main(HEADER_SWEEP_ARGV + ["--out", str(path)]) == 0
     assert digest(path.read_bytes()) == (
         "288786762423864374ad5d7c1395718270271c3ad34d410d0f7a3fb62da64790"
     )
@@ -139,7 +139,7 @@ def test_phase_stdout_digest(capsys):
     # a budget of 10 generations leaves all three verdicts in the `above` row:
     # stagnated 0.55, success 0.2, budget 0.25
     rc = main(
-        ["--seed", "4", "--threads", "1", "phase", "--n", "40", "--mu-small", "5",
+        ["phase", "--seed", "4", "--threads", "1", "--n", "40", "--mu-small", "5",
          "--mu-large", "12", "--runs", "20", "--max-generations", "10"]
     )
     assert rc == 0
