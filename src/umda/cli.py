@@ -4,9 +4,10 @@ Every setting flag (all but ``--threads``, ``--config`` and ``--header``)
 is stored as text under its key and parsed by ``experiments.SETTINGS``, so a
 value that does not parse names its key, and a setting given neither as a
 flag nor in the sweep's config file takes the experiment's own default.
-Each command prints the lines built in ``experiments`` or writes them to
-``--out``.  Exit codes: 0 success, 1 configuration error, 2 I/O error,
-3 verification-suite failure; an internal error ends in a traceback.
+Flags go after their command.  Each command prints the lines built in
+``experiments`` or writes them to ``--out``.  Exit codes: 0 success,
+1 configuration error, 2 I/O error, 3 verification-suite failure; an
+internal error ends in a traceback.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--mu-rule", default=None, help="e.g. lam/2")
     sweep.add_argument("--runs", dest="runs_per_setting", default=None, help="runs per lambda")
     sweep.add_argument("--header", action="store_true", help="write a header line")
+    sweep.set_defaults(handler=_cmd_sweep)
 
     scaling = sub.add_parser(
         "scaling", parents=[run, output], help="median generations vs n, lambda = 2*mu"
@@ -79,6 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     scaling.add_argument("--n-values", required=True, help="e.g. 64,256,1024")
     scaling.add_argument("--mu-rule", required=True, help="e.g. ceil(3*sqrt(n)*log(n))")
     scaling.add_argument("--runs", default=None)
+    scaling.set_defaults(handler=_cmd_scaling)
 
     phase = sub.add_parser(
         "phase", parents=[run], help="borderless stagnation probe below/above the transition"
@@ -87,8 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
     phase.add_argument("--mu-small", required=True)
     phase.add_argument("--mu-large", required=True)
     phase.add_argument("--runs", default=None)
+    phase.set_defaults(handler=_cmd_phase)
 
-    sub.add_parser("verify", help="run the oracle-backed verification suite")
+    verify = sub.add_parser("verify", help="run the oracle-backed verification suite")
+    verify.set_defaults(handler=_cmd_verify)
     return parser
 
 
@@ -149,20 +154,19 @@ def _cmd_verify(_args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+        # the top-level parser would read the flag's value as the command
+        flag = argv[0].split("=", 1)[0]
+        print(f"configuration error: flags go after the command: {flag}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad usage; report as configuration error
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    handlers = {
-        "sweep": _cmd_sweep,
-        "scaling": _cmd_scaling,
-        "phase": _cmd_phase,
-        "verify": _cmd_verify,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

