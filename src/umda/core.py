@@ -26,6 +26,9 @@ Verdict = Literal["optimum_found", "stagnated", "budget_exhausted"]
 #: comfortably above the O(n) generation regime at desk scale.
 DEFAULT_BUDGET_PER_BIT = 200
 
+#: The largest lambda * n a run admits: one population's bool matrix, in bytes.
+MAX_POPULATION_BYTES = 2**31
+
 
 @dataclass
 class UmdaConfig:
@@ -47,6 +50,8 @@ class UmdaConfig:
             raise ValueError(f"need n >= 1, got {self.n}")
         if self.borders and self.n < 2:
             raise ValueError("borders [1/n, 1 - 1/n] need n >= 2")
+        if self.lam * self.n > MAX_POPULATION_BYTES:
+            raise ValueError(f"need lam * n <= {MAX_POPULATION_BYTES}, got {self.lam} * {self.n}")
         if self.max_generations is not None and self.max_generations < 0:
             raise ValueError(f"max_generations must be >= 0, got {self.max_generations}")
         # Pcg32 keeps the low 64 bits of the seed and 63 bits of the stream

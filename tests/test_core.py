@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy import stats as sstats
 
 from umda.bitmodel import FrequencyVector, count_ones, sample_population
 from umda.core import (
+    MAX_POPULATION_BYTES,
     UmdaConfig,
     run,
     sample_and_select,
@@ -298,6 +300,20 @@ class TestRun:
             with pytest.raises(ValueError):
                 UmdaConfig(n=10, mu=2, lam=5, **bad)
         UmdaConfig(n=10, mu=2, lam=5, master_seed=2**64 - 1, run_index=2**63 - 1)
+
+    def test_population_past_the_bound_is_rejected_before_any_allocation(self):
+        # one past the bound, run would sample a 2-GiB bool matrix; the config
+        # refuses first, so not even 1 MiB is allocated
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"need lam \* n <= 2147483648, got 1024 \* 2097153"):
+                run(UmdaConfig(n=2**21 + 1, mu=1, lam=2**10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        at_bound = UmdaConfig(n=2**21, mu=1, lam=2**10)
+        assert at_bound.lam * at_bound.n == MAX_POPULATION_BYTES
 
 
 @given(

@@ -16,10 +16,9 @@ from curve_shape import has_interior_min_then_max, moving_average
 from test_acceptance import DESK_SWEEP
 from umda import experiments
 from umda.cli import main
-from umda.core import UmdaConfig
+from umda.core import MAX_POPULATION_BYTES, UmdaConfig
 from umda.experiments import (
     CSV_HEADER,
-    MAX_POPULATION_BYTES,
     SETTINGS,
     SettingSummary,
     SweepConfig,
@@ -514,13 +513,15 @@ class TestScalingAndPhase:
     @pytest.mark.parametrize(
         "experiment, message",
         [
+            # a setting of 2**31 or more makes lam * n > 2**31 here, so
+            # UmdaConfig rejects it before run_batch derives its stream
             pytest.param(lambda: run_scaling_study([2**31], "3", runs=2, threads=1),
-                         "setting must be in", id="scaling-setting"),
+                         r"need lam \* n <= ", id="scaling-setting"),
             pytest.param(lambda: run_scaling_study([16], "3", runs=2**32 + 1, threads=1),
                          "run_index must fit in 32 bits", id="scaling-runs"),
             pytest.param(lambda: run_phase_transition_probe(20, 2**31, 2**31 + 2, runs=2,
                                                             threads=1),
-                         "setting must be in", id="phase-setting"),
+                         r"need lam \* n <= ", id="phase-setting"),
             pytest.param(lambda: run_phase_transition_probe(20, 2, 4, runs=2**32 + 1, threads=1),
                          "run_index must fit in 32 bits", id="phase-runs"),
         ],
@@ -536,15 +537,12 @@ class TestScalingAndPhase:
             run_batch([(8, UmdaConfig(n=10, mu=4, lam=8))], 0, 1)
 
     def test_batch_bounds_lam_times_n(self, monkeypatch):
-        # the runs are stubbed, so no population is allocated
+        # UmdaConfig rejects one past the bound (tests/test_core.py); a
+        # template at it runs, stubbed, so no population is allocated
         seen = []
         monkeypatch.setattr(experiments, "_run_summary", seen.append)
         lam = 2**10
-        at_bound = UmdaConfig(n=MAX_POPULATION_BYTES // lam, mu=2, lam=lam)
-        with pytest.raises(ValueError, match=r"need lam \* n <= 2147483648, got 1024 \* 2097153"):
-            run_batch([(lam, replace(at_bound, n=at_bound.n + 1))], 1, 1)
-        assert seen == []
-        run_batch([(lam, at_bound)], 1, 1)
+        run_batch([(lam, UmdaConfig(n=MAX_POPULATION_BYTES // lam, mu=2, lam=lam))], 1, 1)
         assert [cfg.lam * cfg.n for cfg in seen] == [MAX_POPULATION_BYTES]
 
     def test_pool_is_no_larger_than_the_batch(self, monkeypatch):

@@ -11,6 +11,7 @@ import json
 from dataclasses import astuple
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from umda import cli
@@ -162,6 +163,52 @@ def test_verify_stdout_and_measured_digest(monkeypatch, capsys):
                 for r in kept]
     assert digest(json.dumps([measured]).encode()) == (
         "45f7e145190292b701095b301c0b3a04322d4eeee18a94da3f5157161ceb6ece"
+    )
+
+
+# The benchmark's two workloads at its default seed, rebuilt through the
+# public API: these are the run_n2000_lam20 and sweep_n2000_lam300 digests
+# of bench/golden.json, so tier-1 pins every byte the benchmark pins.
+
+
+@pytest.mark.parametrize("record_telemetry", [True, False])
+def test_bench_lam20_runs_digest(record_telemetry):
+    # runs 0-2 at n=2000, mu=10, lambda=20, each as [verdict, generations,
+    # evaluations, lower hits, upper hits]; telemetry changes no byte
+    records = []
+    for i in range(3):
+        result = run(UmdaConfig(n=2000, mu=10, lam=20, master_seed=0, run_index=i,
+                                record_telemetry=record_telemetry))
+        tel = result.telemetry
+        records.append([result.verdict, result.generations, result.evaluations,
+                        tel.total_lower_border_hits, tel.total_upper_border_hits])
+        # the run invariants the benchmark checks, which other tests check
+        # only up to n=64: frequencies on the grid k/mu plus the two borders,
+        # one record per generation, each hit total the sum of the records
+        v = result.final_frequencies.values
+        assert ((np.round(v * 10) / 10 == v) | (v == 1 / 2000) | (v == 1 - 1 / 2000)).all()
+        assert len(tel.per_generation) == (result.generations if record_telemetry else 0)
+        if record_telemetry:
+            assert sum(r.lower_border_hits for r in tel.per_generation) == (
+                tel.total_lower_border_hits)
+            assert sum(r.upper_border_hits for r in tel.per_generation) == (
+                tel.total_upper_border_hits)
+    assert digest(json.dumps(records).encode()) == (
+        "649ff2e215109ffea9fe6c5d46ebfaf6a06431a15cdd242ca4aa2a66780ee96e"
+    )
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_bench_lam300_sweep_digest(threads):
+    # the one row of 4 runs at n=2000, lambda=300, mu=lam/2, borders, as
+    # [[lam, avg_evaluations, avg_lower_border_hits, success_fraction,
+    # avg_generations]]
+    cfg = SweepConfig(n=2000, lambda_values=(300, 300, 1), mu_rule="lam/2", borders=True,
+                      runs_per_setting=4, master_seed=0)
+    records = [[r.lam, r.avg_evaluations, r.avg_lower_border_hits, r.success_fraction,
+                r.avg_generations] for r in run_sweep(cfg, threads)]
+    assert digest(json.dumps(records).encode()) == (
+        "17b8298b7d4b75696f6bb7c0602d5f0dd55a40b0e051ff37e0e67ccc7bd6926d"
     )
 
 
