@@ -3,7 +3,8 @@
 Modules
 -------
 rng           deterministic PCG32 generation (scalar and vectorized blocks), stream ids
-bitmodel      frequency vectors, sampling to a read-only bit matrix, one-counts
+bitmodel      frequency vectors, the level table of k/mu, sampling to a read-only
+              bit matrix, one-counts
 core          sample_and_select -> bits, fitness, one-counts -> update_frequencies; run driver
 telemetry     per-generation sampling variance / potential / border hits
 levels        ranking by all-but-one bits (cut level, candidates, classes); X_{t+1} sampler

@@ -1,12 +1,17 @@
 """The UMDA generation kernel and run-to-optimum driver.
 
 One generation in two halves: ``sample_and_select`` samples lambda offspring,
-keeps the mu fittest (ties broken uniformly at random via fresh 64-bit keys)
-and counts the ones at each position among them; ``update_frequencies``,
-which draws nothing, divides those counts by mu and caps into [1/n, 1 - 1/n]
-when borders are on.  Without borders (the UMDA* variant) a frequency that
-reaches 0 or 1 can never change again; a run is declared stagnated as soon
-as some frequency is absorbed at 0, making the all-ones optimum unsampleable.
+keeps the mu fittest (ties broken uniformly at random by 64-bit keys) and
+counts the ones at each position among them; ``update_frequencies``, which
+draws nothing, sets each frequency to its count over mu, capped into
+[1/n, 1 - 1/n] when borders are on.  A generation makes one generator call
+per row block of the population, and the last one also draws the 2*lambda
+key words that follow the population in the stream.  The update gathers the
+next model and its sampling thresholds from the checked ``level_table`` of
+(n, mu, borders), so a generation forms no float threshold and checks no
+range.  Without borders (the UMDA* variant) a frequency that reaches 0 or 1
+can never change again; a run is declared stagnated as soon as some
+frequency is absorbed at 0, making the all-ones optimum unsampleable.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Literal, NamedTuple
 
 import numpy as np
 
-from .bitmodel import FrequencyVector, count_ones, sample_population
+from .bitmodel import FrequencyVector, count_ones, level_table, sample_population
 from .rng import Pcg32
 from .telemetry import RunTelemetry, record_generation
 
@@ -87,23 +92,26 @@ class RunResult:
     final_frequencies: FrequencyVector
 
 
-def select_mu_best(fitness: np.ndarray, mu: int, rng: Pcg32) -> np.ndarray:
+def select_mu_best(fitness: np.ndarray, mu: int, words: np.ndarray) -> np.ndarray:
     """Indices of the mu largest ``fitness`` values, ties broken uniformly at random.
 
-    Sorts on (fitness descending, fresh uniform 64-bit key), so within the
-    fitness class at the cutoff every subset of the required size is equally
-    likely.  With all fitness values distinct the result is the exact top-mu
-    set regardless of the keys.  Negating in int64 keeps unsigned fitness exact.
+    Row i's tie-break key is the 64-bit word pair (words[2i], words[2i+1]),
+    high word first.  Sorts on (fitness descending, high word, low word), the
+    order of the packed keys, so within the fitness class at the cutoff every
+    subset of the required size is equally likely.  With all fitness values
+    distinct the result is the exact top-mu set regardless of the keys.
+    Negating in int64 keeps unsigned fitness exact.
     """
     if mu > fitness.size:
         raise ValueError(f"mu={mu} exceeds population size {fitness.size}")
-    keys = rng.next_u64_block(fitness.size)
-    return np.lexsort((keys, -fitness.astype(np.int64)))[:mu]
+    return np.lexsort((words[1::2], words[0::2], -fitness.astype(np.int64)))[:mu]
 
 
 def update_frequencies(counts: np.ndarray, mu: int, borders: bool) -> UpdateResult:
-    """Set each frequency to counts[i] / mu, where counts[i] is the number of
-    ones at position i among the mu selected and n = counts.size.
+    """Set each frequency to counts[i] / mu, capped into [1/n, 1 - 1/n] with
+    borders, where counts[i] in [0, mu] is the number of ones at position i
+    among the mu selected and n = counts.size.  The vector is gathered from
+    ``level_table(n, mu, borders)``.
 
     Border hits are exact integer tests on the raw counts before capping:
     count * n < mu is count < ceil(mu / n), and count * n > mu * (n - 1) is
@@ -112,11 +120,7 @@ def update_frequencies(counts: np.ndarray, mu: int, borders: bool) -> UpdateResu
     n = counts.size
     lower_hits = counts < -(-mu // n)
     upper_hits = counts > mu * (n - 1) // n
-    values = counts / mu
-    if borders:
-        np.maximum(values, 1.0 / n, out=values)
-        np.minimum(values, 1.0 - 1.0 / n, out=values)
-    return UpdateResult(FrequencyVector(values, borders), lower_hits, upper_hits)
+    return UpdateResult(level_table(n, mu, borders).vector(counts), lower_hits, upper_hits)
 
 
 def sample_and_select(
@@ -124,11 +128,13 @@ def sample_and_select(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The first half of a generation: (bits, fitness, counts) of lam offspring
     sampled from ``p``, counts being the ones at each position among the mu
-    best.  The only place fitness is formed and selected rows become counts.
+    best.  The 2*lam key words follow the population in the stream.  The only
+    place fitness is formed and selected rows become counts.
     """
-    bits = sample_population(p, lam, rng)
+    words = np.empty(2 * lam, dtype=np.uint32)
+    bits = sample_population(p, lam, rng, words)
     fitness = count_ones(bits, axis=1)
-    return bits, fitness, count_ones(bits[select_mu_best(fitness, mu, rng)], axis=0)
+    return bits, fitness, count_ones(bits[select_mu_best(fitness, mu, words)], axis=0)
 
 
 def run(cfg: UmdaConfig) -> RunResult:

@@ -6,8 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
-from umda.bitmodel import BLOCK_DRAWS, FrequencyVector, count_ones, sample_population
-from umda.core import sample_and_select
+from umda.bitmodel import (
+    BLOCK_DRAWS,
+    FrequencyVector,
+    count_ones,
+    level_table,
+    sample_population,
+)
+from umda.core import sample_and_select, update_frequencies
 from umda.oracles import poisson_binomial_pmf
 from umda.rng import CHUNK, TWO_POW_32, Pcg32
 
@@ -83,6 +89,48 @@ class TestFrequencyVector:
         w[0] = 0.9
         w[1] = np.nan
         assert q.values.tolist() == [0.5] * 4
+
+
+def ones_mask(p):
+    return np.zeros(p.n, dtype=bool) if p.ones is None else p.ones
+
+
+@pytest.mark.parametrize("borders", [True, False])
+@pytest.mark.parametrize("mu", [1, 2, 10, 150, 300])
+@pytest.mark.parametrize("n", [2, 3, 48, 2000])
+def test_level_table_matches_the_float_path(n, mu, borders):
+    # every count 0..mu in the dtype count_ones sums mu rows into
+    counts = np.arange(mu + 1).astype(np.min_scalar_type(mu))
+    assert counts.dtype == (np.uint16 if mu == 300 else np.uint8)
+    values = counts / mu
+    if borders:
+        np.maximum(values, 1.0 / n, out=values)
+        np.minimum(values, 1.0 - 1.0 / n, out=values)
+    threshold = np.ceil(values * TWO_POW_32)
+    table = level_table(n, mu, borders)
+    assert table.values.tobytes() == values.tobytes()
+    assert table.thresholds.dtype == np.uint32
+    assert table.thresholds.tolist() == np.minimum(threshold, TWO_POW_32 - 1).tolist()
+    assert table.ones.tolist() == [not borders and k == mu for k in range(mu + 1)]
+    # an update gathers the vector that the checked constructor builds
+    column = np.resize(counts, n)
+    p = update_frequencies(column, mu, borders).frequencies
+    q = FrequencyVector(values[column], borders)
+    assert p.values.tobytes() == q.values.tobytes()
+    assert p.thresholds.tobytes() == q.thresholds.tobytes()
+    assert (p.ones is None) == (q.ones is None)
+    assert ones_mask(p).tolist() == ones_mask(q).tolist()
+    assert not (p.values.flags.writeable or p.thresholds.flags.writeable)
+
+
+def test_level_table_rejects_counts_outside_0_to_mu():
+    table = level_table(10, 4, True)
+    with pytest.raises(IndexError):
+        table.vector(np.array([0, 5] + [1] * 8, dtype=np.uint8))
+    with pytest.raises(ValueError):
+        table.vector(np.array([0, -1] + [1] * 8, dtype=np.int64))
+    with pytest.raises(ValueError):
+        level_table(1, 4, True)  # borders [1/n, 1 - 1/n] are empty at n = 1
 
 
 @pytest.mark.parametrize("n", [255, 256, 65535, 65536])

@@ -25,6 +25,11 @@ def make_population(rows):
     return np.array(rows, dtype=bool)
 
 
+def key_words(rng, rows):
+    """The 2 * rows tie-break words that follow a population of ``rows``."""
+    return rng.next_u32_block(2 * rows)
+
+
 def column_counts(head, n):
     """One-counts of an n-bit model: ``head`` then zeros, as the uint8 the
     sampler sums small selections into."""
@@ -40,24 +45,24 @@ class TestSelection:
         )
         fitness = count_ones(pop, axis=1)
         for seed in range(5):
-            chosen = select_mu_best(fitness, 2, Pcg32(seed, 0))
+            chosen = select_mu_best(fitness, 2, key_words(Pcg32(seed, 0), 4))
             assert sorted(fitness[chosen].tolist()) == [2, 3]
 
     def test_mu_equals_lambda_returns_everyone(self):
         fitness = count_ones(make_population([[1, 0], [0, 1], [1, 1]]), axis=1)
-        chosen = select_mu_best(fitness, 3, Pcg32(0, 0))
+        chosen = select_mu_best(fitness, 3, key_words(Pcg32(0, 0), 3))
         assert sorted(fitness[chosen].tolist()) == sorted(fitness.tolist())
 
     def test_mu_larger_than_population_rejected(self):
         fitness = count_ones(make_population([[1, 0], [0, 1]]), axis=1)
         with pytest.raises(ValueError):
-            select_mu_best(fitness, 3, Pcg32(0, 0))
+            select_mu_best(fitness, 3, key_words(Pcg32(0, 0), 2))
 
     def test_narrow_unsigned_fitness_is_not_wrapped(self):
         # negating uint8 in place would rank 0 above 255 and pick rows [2, 1]
         fitness = np.array([3, 255, 0, 254], dtype=np.uint8)
         for seed in range(5):
-            chosen = select_mu_best(fitness, 2, Pcg32(seed, 0))
+            chosen = select_mu_best(fitness, 2, key_words(Pcg32(seed, 0), 4))
             assert sorted(chosen.tolist()) == [1, 3]
 
     def test_tie_breaking_uniform_over_pairs(self):
@@ -68,13 +73,32 @@ class TestSelection:
         trials = 10**5
         counts = {pair: 0 for pair in combinations(range(4), 2)}
         for _ in range(trials):
-            chosen = select_mu_best(fitness, 2, rng)
+            chosen = select_mu_best(fitness, 2, key_words(rng, 4))
             ids = tuple(sorted(int(np.argmax(row)) for row in pop[chosen]))
             counts[ids] += 1
         for pair, count in counts.items():
             assert abs(count / trials - 1 / 6) <= 0.02, (pair, count)
         result = sstats.chisquare(list(counts.values()))
         assert result.pvalue > 0.001
+
+    @pytest.mark.parametrize("differ", ["high", "low", "both"])
+    def test_two_key_words_sort_as_the_packed_u64_keys(self, differ):
+        # row 0 is above the cutoff, rows 1-4 tie at it and row 5 is below,
+        # so the keys alone pick two of the four tied rows
+        fitness = np.array([9, 5, 5, 5, 5, 2], dtype=np.uint16)
+        spread = np.array([4, 2**32 - 1, 0, 2**31, 1, 3], dtype=np.uint32)
+        flat = np.full(6, 77, dtype=np.uint32)
+        high, low = {
+            "high": (spread, flat),
+            "low": (flat, spread),
+            # high words that tie in pairs, low words ordered against them
+            "both": (np.array([1, 2, 1, 2, 1, 0], dtype=np.uint32), spread[::-1].copy()),
+        }[differ]
+        words = np.empty(12, dtype=np.uint32)
+        words[0::2], words[1::2] = high, low
+        packed = (high.astype(np.uint64) << np.uint64(32)) | low
+        expected = np.lexsort((packed, -fitness.astype(np.int64)))[:3]
+        assert select_mu_best(fitness, 3, words).tolist() == expected.tolist()
 
 
 class TestUpdate:
@@ -161,7 +185,7 @@ class TestStep:
         p = FrequencyVector.uniform(16)
         rng = Pcg32(8, 0)
         pop = sample_population(p, 12, rng)
-        chosen = select_mu_best(count_ones(pop, axis=1), 4, rng)
+        chosen = select_mu_best(count_ones(pop, axis=1), 4, key_words(rng, 12))
         selected = pop[chosen]
         upd = update_frequencies(count_ones(selected, axis=0), 4, p.borders)
         assert len(pop) == 12 and np.unique(chosen).size == 4
@@ -184,7 +208,9 @@ class TestStep:
         rng, twin = Pcg32(seed, 1), Pcg32(seed, 1)
         _, _, counts = sample_and_select(p, mu, mu + extra, rng)
         pop = sample_population(p, mu + extra, twin)
-        expected = pop[select_mu_best(pop.sum(axis=1), mu, twin)].sum(axis=0)
+        # the oracle draws the key words right after the population
+        chosen = select_mu_best(pop.sum(axis=1), mu, key_words(twin, mu + extra))
+        expected = pop[chosen].sum(axis=0)
         assert counts.tolist() == expected.tolist()
         assert rng.state == twin.state
 
@@ -339,7 +365,12 @@ def test_run_invariants_random_configs(n, mu, extra, seed, borders):
     assert len(tel.per_generation) == result.generations
     assert sum(s.lower_border_hits for s in tel.per_generation) == tel.total_lower_border_hits
     assert sum(s.upper_border_hits for s in tel.per_generation) == tel.total_upper_border_hits
-    v = result.final_frequencies.values
+    # the run's vectors come from a level table checked once, not per
+    # generation, so every record must lie within the limits
+    p = result.final_frequencies
+    for s in tel.per_generation:
+        assert p.lower_limit <= s.min_frequency <= s.max_frequency <= p.upper_limit
+    v = p.values
     if not borders:
         assert (result.verdict == "stagnated") == bool((v == 0.0).any())
     on_grid = np.round(v * mu) / mu == v

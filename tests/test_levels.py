@@ -119,7 +119,7 @@ def test_first_class_survive_selection_with_focal_forced_to_zero():
             continue
         forced = pop.copy()
         forced[dec.first_class_ids, 0] = False
-        chosen = select_mu_best(count_ones(forced, axis=1), mu, rng)
+        chosen = select_mu_best(count_ones(forced, axis=1), mu, rng.next_u32_block(2 * lam))
         assert set(dec.first_class_ids.tolist()) <= set(chosen.tolist())
 
 
