@@ -8,18 +8,16 @@ most BLOCK_DRAWS, so no generation holds all lam*n of them at once; the last
 block's generator call also draws the caller's ``tail`` words that follow the
 population in the stream (the selection keys).
 
-A vector carries the uint32 thresholds the sampler compares against.  Built
-from outside, its values are checked and the thresholds formed from them;
-inside a run every frequency is a capped k/mu, so ``level_table`` forms the
-mu + 1 possible values and thresholds once, checked once, and each update
-gathers its vector from that table by the integer counts.
+A vector carries the uint32 thresholds the sampler compares against, formed
+by its one checked constructor.  Inside a run every frequency is a capped
+k/mu, so ``level_table`` builds the mu + 1 possible values once as such a
+vector, and each update gathers its vector from that table with ``take``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +28,9 @@ from .rng import CHUNK, Pcg32, TWO_POW_32
 #: row longer than it is a block of its own.
 BLOCK_DRAWS = 4 * CHUNK
 
+#: The largest p whose threshold ceil(p * 2^32) fits in uint32.
+ONE_BELOW = 1 - 1 / TWO_POW_32
+
 
 @dataclass(frozen=True)
 class FrequencyVector:
@@ -38,29 +39,38 @@ class FrequencyVector:
     With ``borders=True`` every value is confined to [1/n, 1 - 1/n]; without
     borders values may reach the absorbing states 0 and 1.  ``thresholds``
     holds the sampler's uint32 thresholds ceil(p_i * 2^32), clamped at
-    2^32 - 1, and ``ones`` marks the columns sampled as all ones, whose
-    threshold 2^32 does not fit (p_i = 1); None stands for no such column.
+    2^32 - 1.
     """
 
     values: np.ndarray
     borders: bool
     thresholds: np.ndarray = field(init=False, repr=False, compare=False)
-    ones: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # a private copy: the caller's array is neither frozen nor aliased
         values = np.array(self.values, dtype=np.float64)
+        object.__setattr__(self, "values", values)
         if values.ndim != 1 or values.size == 0:
             raise ValueError(f"expected a non-empty 1-d array, got shape {values.shape}")
-        _check_range(values, values.size, self.borders)
-        thresholds, ones = _thresholds(values)
-        self._freeze(values, thresholds, ones if ones.any() else None)
+        lo, hi = self.lower_limit, self.upper_limit
+        # min() and max() are NaN when any value is, which fails both tests
+        if not (values.min() >= lo and values.max() <= hi):
+            raise ValueError(f"frequencies outside [{lo}, {hi}]")
+        threshold = np.minimum(np.ceil(values * TWO_POW_32), TWO_POW_32 - 1)
+        self._freeze(values, threshold.astype(np.uint32))
 
-    def _freeze(self, values, thresholds, ones) -> None:
-        for name, array in (("values", values), ("thresholds", thresholds), ("ones", ones)):
-            if array is not None:
-                array.flags.writeable = False
+    def _freeze(self, values: np.ndarray, thresholds: np.ndarray) -> None:
+        for name, array in (("values", values), ("thresholds", thresholds)):
+            array.flags.writeable = False
             object.__setattr__(self, name, array)
+
+    def take(self, index: np.ndarray, borders: bool) -> "FrequencyVector":
+        """The vector of values[index] and their thresholds, with ``borders``.
+        It is not checked again: its values are this checked vector's."""
+        p = object.__new__(FrequencyVector)
+        object.__setattr__(p, "borders", borders)
+        p._freeze(self.values.take(index), self.thresholds.take(index))
+        return p
 
     @classmethod
     def uniform(cls, n: int, borders: bool = True) -> "FrequencyVector":
@@ -73,71 +83,26 @@ class FrequencyVector:
 
     @property
     def lower_limit(self) -> float:
-        return _limits(self.n, self.borders)[0]
+        return 1.0 / self.n if self.borders else 0.0
 
     @property
     def upper_limit(self) -> float:
-        return _limits(self.n, self.borders)[1]
-
-
-def _limits(n: int, borders: bool) -> tuple[float, float]:
-    return (1.0 / n, 1.0 - 1.0 / n) if borders else (0.0, 1.0)
-
-
-def _check_range(values: np.ndarray, n: int, borders: bool) -> None:
-    lo, hi = _limits(n, borders)
-    # min() and max() are NaN when any value is, which fails both tests
-    if not (values.min() >= lo and values.max() <= hi):
-        raise ValueError(f"frequencies outside [{lo}, {hi}]")
-
-
-def _thresholds(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The uint32 thresholds ceil(v * 2^32) clamped at 2^32 - 1, and the mask
-    of the values whose threshold 2^32 does not fit."""
-    threshold = np.ceil(values * TWO_POW_32)
-    return np.minimum(threshold, TWO_POW_32 - 1).astype(np.uint32), threshold == TWO_POW_32
-
-
-class LevelTable(NamedTuple):
-    """The mu + 1 frequencies a run's update can set, indexed by one-count:
-    level k holds k/mu after the caps, its uint32 threshold and its all-ones
-    flag (set only at k = mu without borders)."""
-
-    values: np.ndarray
-    thresholds: np.ndarray
-    ones: np.ndarray
-    borders: bool
-
-    def vector(self, counts: np.ndarray) -> FrequencyVector:
-        """The vector of the one-counts ``counts``, gathered from the levels,
-        which were checked once when the table was built.  A count above mu
-        raises IndexError; a negative one raises ValueError."""
-        if counts.dtype.kind != "u" and counts.min() < 0:
-            raise ValueError(f"one-counts must be >= 0, got {counts.min()}")
-        index = counts.astype(np.intp)  # take() would cast a narrow index per call
-        p = object.__new__(FrequencyVector)
-        object.__setattr__(p, "borders", self.borders)
-        # the levels rise with k, so only the top one can be flagged
-        ones = index == self.ones.size - 1 if self.ones[-1] else None
-        p._freeze(self.values.take(index), self.thresholds.take(index),
-                  ones if ones is not None and ones.any() else None)
-        return p
+        return 1.0 - 1.0 / self.n if self.borders else 1.0
 
 
 @lru_cache(maxsize=64)
-def level_table(n: int, mu: int, borders: bool) -> LevelTable:
-    """The table of (n, mu, borders), built once per process and range-checked
-    once.  It applies the float operations of counts / mu and the caps to
-    every k in 0..mu, so each level equals that value bit for bit."""
+def level_table(n: int, mu: int, borders: bool) -> FrequencyVector:
+    """The mu + 1 frequencies a run's update can set, indexed by one-count,
+    built once per (n, mu, borders) in a process.  Level k applies the float
+    operations of counts / mu and the caps, so it equals that value bit for
+    bit; the levels are a borderless vector, checked by its constructor."""
     values = np.arange(mu + 1) / mu
     if borders:
+        if n < 2:
+            raise ValueError("borders [1/n, 1 - 1/n] need n >= 2")
         np.maximum(values, 1.0 / n, out=values)
         np.minimum(values, 1.0 - 1.0 / n, out=values)
-    _check_range(values, n, borders)
-    thresholds, ones = _thresholds(values)
-    for array in (values, thresholds, ones):
-        array.flags.writeable = False
-    return LevelTable(values, thresholds, ones, borders)
+    return FrequencyVector(values, borders=False)
 
 
 def sample_population(
@@ -150,10 +115,10 @@ def sample_population(
     consecutive u32 values from ``rng`` in blocks of whole rows, at most
     BLOCK_DRAWS draws or one row each.  For an integer u that is
     u < ceil(p_i * 2^32), compared in uint32 with ``p.thresholds``; a
-    threshold of 2^32, which p_i = 1 without borders gives, does not fit and
-    makes its column all ones.  A uint32 ``tail`` array is filled with the
-    tail.size draws that follow the population, drawn by the last block's
-    generator call.
+    threshold of 2^32, which p_i > 1 - 2^-32 without borders gives, does not
+    fit and makes its column all ones.  A uint32 ``tail`` array is filled
+    with the tail.size draws that follow the population, drawn by the last
+    block's generator call.
     """
     if lam < 1:
         raise ValueError(f"population size must be >= 1, got {lam}")
@@ -170,8 +135,9 @@ def sample_population(
             tail[:] = draws[block.size :]
         # freed before the next block is drawn, so that block reuses its pages
         del draws
-    if p.ones is not None:
-        bits[:, p.ones] = True
+    # with borders every p_i <= 1 - 1/n, so only a borderless column is all ones
+    if not p.borders and p.values.max() > ONE_BELOW:
+        bits[:, p.values > ONE_BELOW] = True
     bits.flags.writeable = False
     return bits
 

@@ -7,11 +7,12 @@ draws nothing, sets each frequency to its count over mu, capped into
 [1/n, 1 - 1/n] when borders are on.  A generation makes one generator call
 per row block of the population, and the last one also draws the 2*lambda
 key words that follow the population in the stream.  The update gathers the
-next model and its sampling thresholds from the checked ``level_table`` of
-(n, mu, borders), so a generation forms no float threshold and checks no
-range.  Without borders (the UMDA* variant) a frequency that reaches 0 or 1
-can never change again; a run is declared stagnated as soon as some
-frequency is absorbed at 0, making the all-ones optimum unsampleable.
+next model and its sampling thresholds from ``level_table(n, mu, borders)``,
+a vector the checked constructor built once, so a generation forms no float
+threshold and checks no range.  Without borders (the UMDA* variant) a
+frequency that reaches 0 or 1 can never change again; a run is declared
+stagnated as soon as some frequency is absorbed at 0, making the all-ones
+optimum unsampleable.
 """
 
 from __future__ import annotations
@@ -111,16 +112,20 @@ def update_frequencies(counts: np.ndarray, mu: int, borders: bool) -> UpdateResu
     """Set each frequency to counts[i] / mu, capped into [1/n, 1 - 1/n] with
     borders, where counts[i] in [0, mu] is the number of ones at position i
     among the mu selected and n = counts.size.  The vector is gathered from
-    ``level_table(n, mu, borders)``.
+    ``level_table(n, mu, borders)``: a count above mu raises IndexError, a
+    negative one ValueError.
 
     Border hits are exact integer tests on the raw counts before capping:
     count * n < mu is count < ceil(mu / n), and count * n > mu * (n - 1) is
     count > floor(mu * (n - 1) / n), so no count is widened to multiply.
     """
+    if counts.dtype.kind != "u" and counts.min() < 0:
+        raise ValueError(f"one-counts must be >= 0, got {counts.min()}")
     n = counts.size
     lower_hits = counts < -(-mu // n)
     upper_hits = counts > mu * (n - 1) // n
-    return UpdateResult(level_table(n, mu, borders).vector(counts), lower_hits, upper_hits)
+    index = counts.astype(np.intp)  # take() would cast a narrow index per gather
+    return UpdateResult(level_table(n, mu, borders).take(index, borders), lower_hits, upper_hits)
 
 
 def sample_and_select(

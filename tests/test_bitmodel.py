@@ -91,10 +91,6 @@ class TestFrequencyVector:
         assert q.values.tolist() == [0.5] * 4
 
 
-def ones_mask(p):
-    return np.zeros(p.n, dtype=bool) if p.ones is None else p.ones
-
-
 @pytest.mark.parametrize("borders", [True, False])
 @pytest.mark.parametrize("mu", [1, 2, 10, 150, 300])
 @pytest.mark.parametrize("n", [2, 3, 48, 2000])
@@ -111,26 +107,38 @@ def test_level_table_matches_the_float_path(n, mu, borders):
     assert table.values.tobytes() == values.tobytes()
     assert table.thresholds.dtype == np.uint32
     assert table.thresholds.tolist() == np.minimum(threshold, TWO_POW_32 - 1).tolist()
-    assert table.ones.tolist() == [not borders and k == mu for k in range(mu + 1)]
     # an update gathers the vector that the checked constructor builds
     column = np.resize(counts, n)
     p = update_frequencies(column, mu, borders).frequencies
     q = FrequencyVector(values[column], borders)
     assert p.values.tobytes() == q.values.tobytes()
     assert p.thresholds.tobytes() == q.thresholds.tobytes()
-    assert (p.ones is None) == (q.ones is None)
-    assert ones_mask(p).tolist() == ones_mask(q).tolist()
+    assert p.borders == q.borders == borders
     assert not (p.values.flags.writeable or p.thresholds.flags.writeable)
 
 
 def test_level_table_rejects_counts_outside_0_to_mu():
-    table = level_table(10, 4, True)
     with pytest.raises(IndexError):
-        table.vector(np.array([0, 5] + [1] * 8, dtype=np.uint8))
+        update_frequencies(np.array([0, 5] + [1] * 8, dtype=np.uint8), 4, True)
     with pytest.raises(ValueError):
-        table.vector(np.array([0, -1] + [1] * 8, dtype=np.int64))
+        update_frequencies(np.array([0, -1] + [1] * 8, dtype=np.int64), 4, True)
     with pytest.raises(ValueError):
         level_table(1, 4, True)  # borders [1/n, 1 - 1/n] are empty at n = 1
+
+
+class _MaxDraws:
+    """Stand-in generator whose every draw is 2^32 - 1."""
+
+    def next_u32_block(self, count):
+        return np.full(count, 2**32 - 1, dtype=np.uint32)
+
+
+def test_gathered_borderless_top_level_samples_all_ones():
+    # the top level's threshold is clamped at 2^32 - 1, which no draw here is below
+    counts = np.array([0, 3, 1, 3], dtype=np.uint8)
+    p = update_frequencies(counts, 3, False).frequencies
+    bits = sample_population(p, 4, _MaxDraws())
+    assert bits.tolist() == [[False, True, False, True]] * 4
 
 
 @pytest.mark.parametrize("n", [255, 256, 65535, 65536])

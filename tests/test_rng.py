@@ -232,7 +232,10 @@ def test_mapping_to_unit_interval():
         assert bits[i] == (u < probs[i])
 
 
-THRESHOLD_EDGES = [0.0, 2**-32, 1 / 7, 0.5, 0.5 - 2**-33, 1 - 1 / 7, 1 - 2**-32, 1.0]
+THRESHOLD_EDGES = [
+    0.0, 2**-32, 1 / 7, 0.5, 0.5 - 2**-33, 1 - 1 / 7, 1 - 2**-32,
+    float(np.nextafter(1 - 2**-32, 1)), 1.0,
+]
 
 
 def test_integer_threshold_matches_scalar_rule():
